@@ -35,14 +35,28 @@
 //! **`O(n(n + |E|))`** time, `O(n²)` space (the `W`/`R` matrices).
 //! [`literal`] is a faithful transcription of the paper's pseudo-code, kept
 //! for cross-validation and for the complexity ablation benchmark.
+//!
+//! [`evaluate`] runs on the compiled path of [`plan`]: an [`EvalPlan`]
+//! (position-indexed costs and predecessor lists) and an [`EvalScratch`]
+//! that keeps one `(n+1)²` matrix `A = W + R`, the `P(Z^i_k)` rows and
+//! per-row prefix sums. A budget sweep reuses one scratch per worker: a
+//! candidate whose flags first differ from the previous one at position
+//! `p` recomputes only the `n − p` columns `k > p` and the rows `i ≥ p`,
+//! i.e. `O((n − p)(n + |E|))` instead of `O(n(n + |E|))`, with no heap
+//! allocation. Along each assembly row, runs of bitwise-equal `A[i][k]`
+//! share their transcendentals. [`recovery::RecoveryMatrices::compute`]
+//! plus the shared assembly stay as the reference oracle; the two paths
+//! are pinned bit-identical.
 
 pub mod literal;
+pub mod plan;
 pub mod recovery;
 pub mod replicated;
 
 use crate::model::Workflow;
 use crate::schedule::Schedule;
 use dagchkpt_failure::FaultModel;
+pub use plan::{EvalPlan, EvalScratch};
 use recovery::RecoveryMatrices;
 
 /// Per-schedule evaluation report.
@@ -64,17 +78,30 @@ pub struct EvalReport {
 /// Expected makespan of `schedule` (Theorem 3). Exact under the exponential
 /// fault model; see [`EvalReport`] for the per-task breakdown.
 pub fn expected_makespan(wf: &Workflow, model: FaultModel, schedule: &Schedule) -> f64 {
-    evaluate(wf, model, schedule).expected_makespan
+    let plan = EvalPlan::new(wf, schedule.order());
+    EvalScratch::new(&plan, model).expected_makespan(&checkpoint_flags(schedule))
 }
 
 /// Full evaluation of `schedule`, including the per-position breakdown.
 pub fn evaluate(wf: &Workflow, model: FaultModel, schedule: &Schedule) -> EvalReport {
-    let matrices = RecoveryMatrices::compute(wf, schedule);
-    assemble(wf, model, schedule, &matrices)
+    let plan = EvalPlan::new(wf, schedule.order());
+    let mut scratch = EvalScratch::new(&plan, model);
+    scratch.expected_makespan(&checkpoint_flags(schedule));
+    scratch.report()
 }
 
-/// Shared probability/expectation assembly (properties A–C), used by both
-/// the optimized and the paper-literal recovery-set computations.
+/// The checkpoint flags of `schedule` by schedule position.
+fn checkpoint_flags(schedule: &Schedule) -> Vec<bool> {
+    schedule
+        .order()
+        .iter()
+        .map(|&t| schedule.is_checkpointed(t))
+        .collect()
+}
+
+/// Reference probability/expectation assembly (properties A–C) over dense
+/// recovery matrices — the oracle [`EvalScratch`] is pinned against, and
+/// the back end of the paper-literal evaluator.
 pub(crate) fn assemble(
     wf: &Workflow,
     model: FaultModel,

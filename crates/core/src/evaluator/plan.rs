@@ -1,0 +1,448 @@
+//! The production Theorem-3 path: a compiled [`EvalPlan`] per
+//! (workflow, linearization) and a reusable [`EvalScratch`] per worker.
+//!
+//! The arithmetic is exactly that of [`RecoveryMatrices::compute`] +
+//! [`super::assemble`] — same operations, same accumulation order — so
+//! every value is **bit-identical** to that reference oracle (pinned by
+//! the property tests below). Two exact savings make a checkpoint-budget
+//! sweep cheap:
+//!
+//! * **Resume.** The lost-set column `k` of `A = W + R` depends only on the
+//!   checkpoint flags of positions `< k`, and assembly row `i` only on
+//!   columns `≤ i` and the flags of positions `i − 1` and `i`. A candidate
+//!   whose flags first differ from the previous candidate's at position
+//!   `p` therefore recomputes only columns `k > p` and rows `i ≥ p`,
+//!   continuing from the saved `P(Z^p_k)` row and the prefix sums of row
+//!   `p − 1`. Ranked budgets are nested, so consecutive candidates differ
+//!   in exactly one flag.
+//! * **Run-length reuse.** Along a row, every per-`k` factor
+//!   (`E[t(·)]`, both fault-count factors, and the next row's
+//!   `e^{−λS}`) is a function of `A[i][k]` alone. Consecutive `k` with
+//!   bitwise-equal `A[i][k]` reuse them; only the products and sums run
+//!   per `k`, in the original order. On Pegasus shapes the lost sets are
+//!   mostly empty, so only a few percent of `(i, k)` pairs need fresh
+//!   transcendentals.
+//!
+//! After [`EvalScratch::new`], evaluating a candidate never allocates.
+//!
+//! [`RecoveryMatrices::compute`]: super::recovery::RecoveryMatrices::compute
+
+use super::EvalReport;
+use crate::model::Workflow;
+use dagchkpt_dag::NodeId;
+use dagchkpt_failure::FaultModel;
+
+/// One workflow under one linearization, flattened into position-indexed
+/// arrays (1-based; index 0 unused) and shared read-only by every worker.
+#[derive(Debug, Clone)]
+pub struct EvalPlan {
+    n: usize,
+    w: Vec<f64>,
+    c: Vec<f64>,
+    r: Vec<f64>,
+    /// CSR row starts: the predecessor positions of position `i` are
+    /// `preds[pred_start[i]..pred_start[i + 1]]`, in DAG adjacency order
+    /// (which fixes the DFS visiting order, hence the summation order).
+    pred_start: Vec<u32>,
+    preds: Vec<u32>,
+}
+
+impl EvalPlan {
+    /// Compiles `wf` under the linearization `order` (a permutation of
+    /// the task ids, as held by a valid [`crate::Schedule`]).
+    pub fn new(wf: &Workflow, order: &[NodeId]) -> Self {
+        let n = wf.n_tasks();
+        assert_eq!(order.len(), n, "order must cover every task");
+        let mut pos1 = vec![0u32; n];
+        for (idx, &t) in order.iter().enumerate() {
+            pos1[t.index()] = idx as u32 + 1;
+        }
+        let mut w = vec![0.0f64; n + 1];
+        let mut c = vec![0.0f64; n + 1];
+        let mut r = vec![0.0f64; n + 1];
+        let mut pred_start = Vec::with_capacity(n + 2);
+        pred_start.extend([0, 0]);
+        let mut preds = Vec::new();
+        for (idx, &t) in order.iter().enumerate() {
+            let i = idx + 1;
+            w[i] = wf.work(t);
+            c[i] = wf.checkpoint_cost(t);
+            r[i] = wf.recovery_cost(t);
+            preds.extend(wf.dag().preds(t).iter().map(|p| pos1[p.index()]));
+            pred_start.push(preds.len() as u32);
+        }
+        EvalPlan {
+            n,
+            w,
+            c,
+            r,
+            pred_start,
+            preds,
+        }
+    }
+
+    #[inline]
+    fn preds_of(&self, i: usize) -> &[u32] {
+        &self.preds[self.pred_start[i] as usize..self.pred_start[i + 1] as usize]
+    }
+}
+
+/// Per-worker evaluation state for one [`EvalPlan`] under one fault
+/// model, holding the last evaluated candidate's matrices so the next
+/// candidate can resume from them.
+#[derive(Debug, Clone)]
+pub struct EvalScratch<'p> {
+    plan: &'p EvalPlan,
+    model: FaultModel,
+    /// Whether the arrays below describe `ckpt` (false until the first
+    /// evaluation).
+    warm: bool,
+    /// Checkpoint flags of the last evaluated candidate, by 1-based
+    /// position.
+    ckpt: Vec<bool>,
+    /// `a[i·(n+1)+k] = W^i_k + R^i_k` for `1 ≤ k ≤ i`; column 0 stays 0,
+    /// which is the `k = 0` ("no fault yet") term of the assembly.
+    a: Vec<f64>,
+    /// `pz[i·(n+1)+k] = P(Z^i_k)` for `0 ≤ k < i`.
+    pz: Vec<f64>,
+    /// `E[X_i]` per position.
+    ex: Vec<f64>,
+    /// Prefix sums of `E[X_i]` and of the expected fault count, in
+    /// accumulation order: entry `i` is the running value after row `i`.
+    total: Vec<f64>,
+    faults: Vec<f64>,
+    /// DFS state of one lost-set column: `mark[j]` is the position at
+    /// which position `j` was first studied (0 = not yet).
+    mark: Vec<u32>,
+    stack: Vec<u32>,
+}
+
+impl<'p> EvalScratch<'p> {
+    /// Allocates every buffer a candidate evaluation needs (two
+    /// `(n+1)²` matrices plus `O(n)` rows).
+    pub fn new(plan: &'p EvalPlan, model: FaultModel) -> Self {
+        let n = plan.n;
+        let mut pz = vec![0.0f64; (n + 1) * (n + 1)];
+        if n > 0 {
+            // Row 1: no fault can precede the first task.
+            pz[n + 1] = 1.0;
+        }
+        EvalScratch {
+            plan,
+            model,
+            warm: false,
+            ckpt: vec![false; n + 1],
+            a: vec![0.0f64; (n + 1) * (n + 1)],
+            pz,
+            ex: vec![0.0f64; n + 1],
+            total: vec![0.0f64; n + 1],
+            faults: vec![0.0f64; n + 1],
+            mark: vec![0u32; n + 1],
+            stack: Vec::with_capacity(n + 1),
+        }
+    }
+
+    /// Expected makespan of the candidate whose checkpoint flags, by
+    /// 0-based schedule position, are `ckpt`. Bit-identical to
+    /// [`super::evaluate`] on the same schedule, whatever was evaluated
+    /// before.
+    pub fn expected_makespan(&mut self, ckpt: &[bool]) -> f64 {
+        let n = self.plan.n;
+        assert_eq!(ckpt.len(), n, "one flag per position");
+        let first_diff = (1..=n).find(|&i| ckpt[i - 1] != self.ckpt[i]);
+        let p = match (self.warm, first_diff) {
+            (true, None) => return self.total[n],
+            (true, Some(p)) => p,
+            (false, _) => 1,
+        };
+        self.ckpt[p..].copy_from_slice(&ckpt[p - 1..]);
+        if n == 0 {
+            // Nothing to run: the makespan is 0 (total[0]).
+        } else if self.model.lambda() == 0.0 {
+            self.fault_free();
+        } else {
+            // Columns `k ≤ p` only read flags of positions `< p`.
+            self.recovery_columns(if self.warm { p + 1 } else { 1 });
+            for i in p..=n {
+                self.assemble_row(i);
+            }
+        }
+        self.warm = true;
+        self.total[n]
+    }
+
+    /// The full report of the last evaluated candidate (per-position
+    /// breakdown and expected fault count).
+    pub fn report(&self) -> EvalReport {
+        let n = self.plan.n;
+        assert!(self.warm || n == 0, "no candidate evaluated yet");
+        EvalReport {
+            expected_makespan: self.total[n],
+            per_position: self.ex[1..].to_vec(),
+            expected_faults: self.faults[n],
+        }
+    }
+
+    /// The fault-free limit: every task runs once, checkpointed tasks pay
+    /// `c_i` (same expression and summation as the reference).
+    fn fault_free(&mut self) {
+        let n = self.plan.n;
+        for i in 1..=n {
+            self.ex[i] = self.plan.w[i] + if self.ckpt[i] { self.plan.c[i] } else { 0.0 };
+        }
+        self.total[n] = self.ex[1..].iter().sum();
+        self.faults[n] = 0.0;
+    }
+
+    /// Recomputes the lost-set columns `k_from..=n` of `A` (see
+    /// [`super::recovery`] for the mark-array semantics).
+    fn recovery_columns(&mut self, k_from: usize) {
+        let plan = self.plan;
+        let n = plan.n;
+        let stride = n + 1;
+        for k in k_from..=n {
+            self.mark.fill(0);
+            for i in k..=n {
+                let mut wi = 0.0f64;
+                let mut ri = 0.0f64;
+                self.stack.push(i as u32);
+                while let Some(t) = self.stack.pop() {
+                    for &j in plan.preds_of(t as usize) {
+                        let j = j as usize;
+                        if self.mark[j] != 0 {
+                            continue;
+                        }
+                        self.mark[j] = i as u32;
+                        if j < k {
+                            if self.ckpt[j] {
+                                ri += plan.r[j];
+                            } else {
+                                wi += plan.w[j];
+                                self.stack.push(j as u32);
+                            }
+                        }
+                    }
+                }
+                self.a[i * stride + k] = wi + ri;
+            }
+        }
+    }
+
+    /// Assembly row `i` (properties A–C): `E[X_i]`, the running totals,
+    /// and — for `i < n` — the next row `P(Z^{i+1}_k)`.
+    fn assemble_row(&mut self, i: usize) {
+        let plan = self.plan;
+        let n = plan.n;
+        let stride = n + 1;
+        let lambda = self.model.lambda();
+        let wi = plan.w[i];
+        let ci = if self.ckpt[i] { plan.c[i] } else { 0.0 };
+        let row = &self.a[i * stride..i * stride + i + 1];
+        let b = row[i];
+        let (cur, next) = self.pz.split_at_mut((i + 1) * stride);
+        let cur = &cur[i * stride..i * stride + i];
+        let has_next = i < n;
+
+        let mut exi = 0.0f64;
+        let mut faults = self.faults[i - 1];
+        let mut sum = 0.0f64;
+        // Factors of the current run of bitwise-equal `A[i][k]`; the key
+        // starts as the complement of the first entry so `k = 0` computes.
+        let mut key = !row[0].to_bits();
+        let (mut exec, mut l1, mut l2, mut decay) = (0.0, 0.0, 0.0, 0.0);
+        for k in 0..i {
+            let a = row[k];
+            if a.to_bits() != key {
+                key = a.to_bits();
+                // `a ≤ b` holds mathematically; clamp accumulation noise.
+                let rec = (b - a).max(0.0);
+                exec = self.model.expected_exec_time(a + wi, ci, rec);
+                l1 = (lambda * rec).exp();
+                l2 = (lambda * (a + wi + ci)).exp_m1();
+                decay = (-lambda * (a + wi + ci)).exp();
+            }
+            let p = cur[k];
+            if p != 0.0 {
+                exi += p * exec;
+                faults += p * l1 * l2;
+            }
+            if has_next {
+                let q = p * decay;
+                next[k] = q;
+                sum += q;
+            }
+        }
+        if has_next {
+            // Property B; clamp against floating-point drift.
+            next[i] = (1.0 - sum).clamp(0.0, 1.0);
+        }
+        self.ex[i] = exi;
+        self.total[i] = self.total[i - 1] + exi;
+        self.faults[i] = faults;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::evaluator::{assemble, recovery::RecoveryMatrices};
+    use crate::model::{CostRule, TaskCosts};
+    use crate::schedule::Schedule;
+    use dagchkpt_dag::{generators, topo, FixedBitSet};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference oracle: dense matrices, then the shared assembly.
+    fn oracle(wf: &Workflow, model: FaultModel, s: &Schedule) -> EvalReport {
+        assemble(wf, model, s, &RecoveryMatrices::compute(wf, s))
+    }
+
+    fn assert_bitwise(got: &EvalReport, want: &EvalReport, what: &str) {
+        assert_eq!(
+            got.expected_makespan.to_bits(),
+            want.expected_makespan.to_bits(),
+            "{what}: makespan {} vs {}",
+            got.expected_makespan,
+            want.expected_makespan
+        );
+        assert_eq!(
+            got.expected_faults.to_bits(),
+            want.expected_faults.to_bits(),
+            "{what}: faults"
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got.per_position),
+            bits(&want.per_position),
+            "{what}: per-position"
+        );
+    }
+
+    /// Random DAG, weights and linearization (a random topological order).
+    fn random_instance(seed: u64, n: usize) -> (Workflow, Vec<NodeId>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let dag = generators::layered_random(&mut rng, n, 4, 0.35);
+        let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..40.0)).collect();
+        let costs = weights
+            .iter()
+            .map(|&w| {
+                // Repeated weights and zero costs produce equal `A` runs.
+                let w = if rng.gen_bool(0.2) { 10.0 } else { w };
+                TaskCosts::new(w, rng.gen_range(0.0..3.0), rng.gen_range(0.0..3.0))
+            })
+            .collect();
+        let wf = Workflow::new(dag, costs);
+        let order = crate::linearize::linearize(
+            &wf,
+            crate::linearize::LinearizationStrategy::RandomFirst { seed },
+        );
+        (wf, order)
+    }
+
+    fn schedule_of(wf: &Workflow, order: &[NodeId], flags: &[bool]) -> Schedule {
+        let set = FixedBitSet::from_indices(
+            wf.n_tasks(),
+            (0..flags.len())
+                .filter(|&p| flags[p])
+                .map(|p| order[p].index()),
+        );
+        Schedule::new(wf, order.to_vec(), set).unwrap()
+    }
+
+    /// The candidate sequences a sweep produces, plus adversarial ones.
+    fn sequences(rng: &mut SmallRng, n: usize) -> Vec<Vec<bool>> {
+        let mut seqs = Vec::new();
+        // Nested: one more flag per step, in a random rank order.
+        let mut rank: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            rank.swap(i, rng.gen_range(0..=i));
+        }
+        let mut flags = vec![false; n];
+        seqs.push(flags.clone());
+        for &p in &rank {
+            flags[p] = true;
+            seqs.push(flags.clone());
+        }
+        // Periodic-like: every `step`-th position, for growing `step`.
+        for step in 1..=n.min(6) {
+            seqs.push((0..n).map(|p| p % step == step - 1).collect());
+        }
+        // Arbitrary flips, including repeats of the same candidate.
+        for _ in 0..8 {
+            let f: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
+            seqs.push(f.clone());
+            seqs.push(f);
+        }
+        seqs
+    }
+
+    fn check_sequences(wf: &Workflow, order: &[NodeId], model: FaultModel, seed: u64) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+        let plan = EvalPlan::new(wf, order);
+        let mut scratch = EvalScratch::new(&plan, model);
+        for (step, flags) in sequences(&mut rng, wf.n_tasks()).iter().enumerate() {
+            let e = scratch.expected_makespan(flags);
+            let want = oracle(wf, model, &schedule_of(wf, order, flags));
+            assert_eq!(e.to_bits(), want.expected_makespan.to_bits(), "step {step}");
+            assert_bitwise(&scratch.report(), &want, &format!("step {step}"));
+        }
+    }
+
+    #[test]
+    fn fixed_shapes_match_the_oracle_bitwise() {
+        let shapes = [
+            generators::paper_figure1(),
+            generators::chain(9),
+            generators::fork(6),
+            generators::join(6),
+            generators::fork_join(5),
+        ];
+        for (s, dag) in shapes.into_iter().enumerate() {
+            let n = dag.n_nodes();
+            let weights: Vec<f64> = (0..n).map(|i| 5.0 + (i % 3) as f64 * 7.0).collect();
+            let wf =
+                Workflow::with_cost_rule(dag, weights, CostRule::ProportionalToWork { ratio: 0.1 });
+            let order = topo::topological_order(wf.dag());
+            for model in [FaultModel::new(3e-3, 1.0), FaultModel::fault_free()] {
+                check_sequences(&wf, &order, model, s as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_single_task_workflows() {
+        for n in [0usize, 1] {
+            let wf = Workflow::uniform(generators::chain(n), 7.0, 0.5);
+            let order = topo::topological_order(wf.dag());
+            let plan = EvalPlan::new(&wf, &order);
+            for model in [FaultModel::new(1e-2, 2.0), FaultModel::fault_free()] {
+                let mut scratch = EvalScratch::new(&plan, model);
+                for flags in [vec![false; n], vec![true; n], vec![false; n]] {
+                    let e = scratch.expected_makespan(&flags);
+                    let want = oracle(&wf, model, &schedule_of(&wf, &order, &flags));
+                    assert_eq!(e.to_bits(), want.expected_makespan.to_bits());
+                    assert_bitwise(&scratch.report(), &want, &format!("n = {n}"));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn scratch_equals_the_oracle_bitwise(
+            seed in 0u64..10_000, n in 2usize..40, lambda in 0.0f64..0.02,
+            downtime in 0.0f64..3.0, fault_free in 0u8..4,
+        ) {
+            let (wf, order) = random_instance(seed, n);
+            let model = if fault_free == 0 {
+                FaultModel::fault_free()
+            } else {
+                FaultModel::new(lambda, downtime)
+            };
+            check_sequences(&wf, &order, model, seed);
+        }
+    }
+}

@@ -37,6 +37,7 @@
 use crate::evaluator::replicated::{
     normalize_replica_set, ReplicatedEvaluator, MAX_REPLICATION_DEGREE,
 };
+use crate::evaluator::{EvalPlan, EvalScratch};
 use crate::model::Workflow;
 use crate::objective::{Objective, ProxyObjective};
 use crate::schedule::Schedule;
@@ -313,12 +314,12 @@ pub fn local_search_with<O: Objective + ?Sized>(
                     set.remove(i);
                 }
                 let s = base.with_checkpoints(set);
-                (i, obj.cost(&s), ())
+                (i, obj.cost(&s))
             })
             .fold(|| None, |best, cand| better_candidate(best, Some(cand)))
             .reduce(|| None, better_candidate);
         evaluated += n;
-        let Some((flip, e, ())) = best else {
+        let Some((flip, e)) = best else {
             break;
         };
         if e >= best_e - 1e-12 * best_e.max(1.0) {
@@ -338,16 +339,12 @@ pub fn local_search_with<O: Objective + ?Sized>(
     }
 }
 
-/// Argmin combiner shared by [`sweep`] and [`local_search`] candidates
-/// `(index, expected makespan, payload)`: lower makespan wins, ties
+/// Argmin combiner shared by [`sweep_with_cost`] and [`local_search`]
+/// candidates `(index, expected makespan)`: lower makespan wins, ties
 /// toward the smaller index (matching the pre-chunked `min_by`/sort
 /// behavior). Associative with a deterministic result for any grouping,
 /// so chunked fold/reduce chains are stable.
-#[allow(clippy::type_complexity)]
-fn better_candidate<T>(
-    a: Option<(usize, f64, T)>,
-    b: Option<(usize, f64, T)>,
-) -> Option<(usize, f64, T)> {
+fn better_candidate(a: Option<(usize, f64)>, b: Option<(usize, f64)>) -> Option<(usize, f64)> {
     match (a, b) {
         (None, x) | (x, None) => x,
         (Some(a), Some(b)) => {
@@ -375,21 +372,37 @@ pub fn set_from_ranking(n: usize, ranking: &[NodeId], n_ckpt: usize) -> FixedBit
 /// so the returned set may be smaller than `n_ckpt`. The final task is never
 /// checkpointed (its checkpoint could never be consumed).
 pub fn periodic_set(wf: &Workflow, order: &[NodeId], n_ckpt: usize) -> FixedBitSet {
-    let n = wf.n_tasks();
-    let mut set = FixedBitSet::new(n);
-    if n == 0 || n_ckpt == 0 {
-        return set;
-    }
-    let total: f64 = wf.total_work();
-    if total <= 0.0 {
-        return set;
-    }
-    // Failure-free completion time of each position.
-    let mut completion = Vec::with_capacity(n);
+    let mut set = FixedBitSet::new(wf.n_tasks());
+    periodic_positions(
+        &completion_times(wf, order),
+        wf.total_work(),
+        n_ckpt,
+        |pos| {
+            set.insert(order[pos].index());
+        },
+    );
+    set
+}
+
+/// Failure-free completion time of each schedule position.
+fn completion_times(wf: &Workflow, order: &[NodeId]) -> Vec<f64> {
     let mut t = 0.0;
-    for &v in order {
-        t += wf.work(v);
-        completion.push(t);
+    order
+        .iter()
+        .map(|&v| {
+            t += wf.work(v);
+            t
+        })
+        .collect()
+}
+
+/// Calls `mark` with every schedule position [`periodic_set`] checkpoints
+/// for `n_ckpt`, given the positions' failure-free `completion` times and
+/// the total work.
+fn periodic_positions(completion: &[f64], total: f64, n_ckpt: usize, mut mark: impl FnMut(usize)) {
+    let n = completion.len();
+    if n == 0 || n_ckpt == 0 || total <= 0.0 {
+        return;
     }
     let slots = n_ckpt + 1;
     for x in 1..slots {
@@ -397,14 +410,13 @@ pub fn periodic_set(wf: &Workflow, order: &[NodeId], n_ckpt: usize) -> FixedBitS
         // First position completing at/after the threshold.
         let pos = completion.partition_point(|&ct| ct < threshold);
         if pos < n.saturating_sub(1) {
-            set.insert(order[pos].index());
+            mark(pos);
         } else if n >= 2 {
             // Threshold fell on/after the last task: checkpointing it is
             // useless, take the penultimate position instead.
-            set.insert(order[n - 2].index());
+            mark(n - 2);
         }
     }
-    set
 }
 
 /// Result of a checkpoint-placement optimization.
@@ -424,6 +436,11 @@ pub struct OptimizedSchedule {
 /// Applies `strategy` on the fixed linearization `order`, sweeping the
 /// checkpoint budget under `policy` against the paper's proxy model and
 /// returning the best schedule.
+///
+/// Candidates run on the compiled Theorem-3 path: one [`EvalPlan`] for the
+/// linearization and one [`EvalScratch`] per worker, which resumes each
+/// candidate from the previous one's matrices. Bit-identical to
+/// [`optimize_checkpoints_with`] over [`ProxyObjective`].
 pub fn optimize_checkpoints(
     wf: &Workflow,
     model: FaultModel,
@@ -431,13 +448,17 @@ pub fn optimize_checkpoints(
     strategy: CheckpointStrategy,
     policy: SweepPolicy,
 ) -> OptimizedSchedule {
-    optimize_checkpoints_with(wf, &ProxyObjective::new(wf, model), order, strategy, policy)
+    let plan = EvalPlan::new(wf, order);
+    optimize_with_cost(wf, order, strategy, policy, || {
+        let mut scratch = EvalScratch::new(&plan, model);
+        move |flags: &[bool]| scratch.expected_makespan(flags)
+    })
 }
 
 /// [`optimize_checkpoints`] against an arbitrary [`Objective`] backend:
 /// the same candidate family and tie-breaks, evaluated by `obj` — pass a
 /// [`ReplicatedEvaluator`] to make the sweep replication-aware. With
-/// [`ProxyObjective`] this is bit-identical to the pre-generic sweep.
+/// [`ProxyObjective`] this is bit-identical to [`optimize_checkpoints`].
 pub fn optimize_checkpoints_with<O: Objective + ?Sized>(
     wf: &Workflow,
     obj: &O,
@@ -445,7 +466,10 @@ pub fn optimize_checkpoints_with<O: Objective + ?Sized>(
     strategy: CheckpointStrategy,
     policy: SweepPolicy,
 ) -> OptimizedSchedule {
-    optimize_with_cost(wf, order, strategy, policy, |s| obj.cost(s))
+    let base = Schedule::never(wf, order.to_vec()).expect("order is valid");
+    optimize_with_cost(wf, order, strategy, policy, || {
+        |flags: &[bool]| obj.cost(&flag_schedule(&base, flags))
+    })
 }
 
 /// [`optimize_checkpoints_with`] minimizing the `q`-quantile of `obj`'s
@@ -464,87 +488,122 @@ pub fn optimize_checkpoints_quantile<O: Objective + ?Sized>(
     policy: SweepPolicy,
     q: f64,
 ) -> OptimizedSchedule {
-    optimize_with_cost(wf, order, strategy, policy, |s| {
-        let c = obj.cost_quantile(s, q);
-        if c.is_nan() {
-            f64::INFINITY
-        } else {
-            c
+    let base = Schedule::never(wf, order.to_vec()).expect("order is valid");
+    optimize_with_cost(wf, order, strategy, policy, || {
+        |flags: &[bool]| {
+            let c = obj.cost_quantile(&flag_schedule(&base, flags), q);
+            if c.is_nan() {
+                f64::INFINITY
+            } else {
+                c
+            }
         }
     })
 }
 
-/// The strategy dispatch behind both optimizers, generic over the scalar
-/// each candidate schedule is keyed on (mean cost, quantile cost, …).
-fn optimize_with_cost(
+/// `base` with the checkpoint flags `flags` (by schedule position).
+fn flag_schedule(base: &Schedule, flags: &[bool]) -> Schedule {
+    let order = base.order();
+    base.with_checkpoints(FixedBitSet::from_indices(
+        order.len(),
+        (0..flags.len())
+            .filter(|&p| flags[p])
+            .map(|p| order[p].index()),
+    ))
+}
+
+/// The strategy dispatch behind every optimizer. `evaluator` creates one
+/// candidate evaluator per worker run; each evaluator maps checkpoint
+/// flags (by schedule position) to the scalar the sweep minimizes (mean
+/// cost, quantile cost, …).
+fn optimize_with_cost<F, E>(
     wf: &Workflow,
     order: &[NodeId],
     strategy: CheckpointStrategy,
     policy: SweepPolicy,
-    cost: impl Fn(&Schedule) -> f64 + Sync,
-) -> OptimizedSchedule {
+    evaluator: F,
+) -> OptimizedSchedule
+where
+    F: Fn() -> E + Sync,
+    E: FnMut(&[bool]) -> f64,
+{
     let n = wf.n_tasks();
+    let base = Schedule::never(wf, order.to_vec()).expect("order is valid");
     match strategy {
-        CheckpointStrategy::Never => {
-            let schedule = Schedule::never(wf, order.to_vec()).expect("order is valid");
-            let e = cost(&schedule);
-            OptimizedSchedule {
-                schedule,
-                expected_makespan: e,
-                best_n: None,
-                evaluated: 1,
-            }
+        CheckpointStrategy::Never => OptimizedSchedule {
+            expected_makespan: evaluator()(&vec![false; n]),
+            schedule: base,
+            best_n: None,
+            evaluated: 1,
+        },
+        CheckpointStrategy::Always => OptimizedSchedule {
+            expected_makespan: evaluator()(&vec![true; n]),
+            schedule: Schedule::always(wf, order.to_vec()).expect("order is valid"),
+            best_n: None,
+            evaluated: 1,
+        },
+        CheckpointStrategy::Periodic => {
+            let completion = completion_times(wf, order);
+            let total = wf.total_work();
+            sweep_with_cost(&base, policy, &evaluator, &|n_ckpt, flags: &mut [bool]| {
+                flags.fill(false);
+                periodic_positions(&completion, total, n_ckpt, |pos| flags[pos] = true);
+            })
         }
-        CheckpointStrategy::Always => {
-            let schedule = Schedule::always(wf, order.to_vec()).expect("order is valid");
-            let e = cost(&schedule);
-            OptimizedSchedule {
-                schedule,
-                expected_makespan: e,
-                best_n: None,
-                evaluated: 1,
-            }
-        }
-        CheckpointStrategy::Periodic => sweep_with_cost(wf, order, policy, &cost, |n_ckpt| {
-            periodic_set(wf, order, n_ckpt)
-        }),
         ranked => {
             // Infallible here: the Never/Always/Periodic arms above are
             // exactly the strategies `ranking` rejects.
             let rank = ranking(wf, ranked).expect("every unmatched strategy is ranked");
-            sweep_with_cost(wf, order, policy, &cost, |n_ckpt| {
-                set_from_ranking(n, &rank, n_ckpt)
+            let positions = base.positions();
+            let rank_pos: Vec<usize> = rank.iter().map(|v| positions[v.index()]).collect();
+            sweep_with_cost(&base, policy, &evaluator, &|n_ckpt, flags: &mut [bool]| {
+                flags.fill(false);
+                for &pos in &rank_pos[..n_ckpt] {
+                    flags[pos] = true;
+                }
             })
         }
     }
 }
 
-/// Sweeps candidate budgets, evaluating each schedule's `cost` key in
-/// parallel; ties broken toward smaller `N`. Candidate schedules stream
-/// through a chunked fold into O(chunks) running minima — the sweep never
-/// materializes one schedule per budget.
-fn sweep_with_cost(
-    wf: &Workflow,
-    order: &[NodeId],
+/// Sweeps candidate budgets in parallel; ties broken toward smaller `N`.
+///
+/// The candidate list is split into one contiguous run per worker. Each
+/// run creates one evaluator and one flag vector, and `set_for` rewrites
+/// the flags in place for each budget, so consecutive candidates of a run
+/// differ in few flags (exactly one for nested ranked budgets) — which is
+/// what lets an [`EvalScratch`] resume. Every value is independent of the
+/// evaluator's history and [`better_candidate`] is independent of the
+/// grouping, so the result does not depend on the thread count. Only the
+/// winner is materialized as a [`Schedule`].
+fn sweep_with_cost<F, E>(
+    base: &Schedule,
     policy: SweepPolicy,
-    cost: &(impl Fn(&Schedule) -> f64 + Sync),
-    set_for: impl Fn(usize) -> FixedBitSet + Sync,
-) -> OptimizedSchedule {
-    let n = wf.n_tasks();
-    let base = Schedule::never(wf, order.to_vec()).expect("order is valid");
+    evaluator: &F,
+    set_for: &(impl Fn(usize, &mut [bool]) + Sync),
+) -> OptimizedSchedule
+where
+    F: Fn() -> E + Sync,
+    E: FnMut(&[bool]) -> f64,
+{
+    let n = base.n_tasks();
 
-    let eval_n = |n_ckpt: usize| -> (usize, f64, Schedule) {
-        let s = base.with_checkpoints(set_for(n_ckpt));
-        let e = cost(&s);
-        (n_ckpt, e, s)
-    };
-
-    let best_of = |candidates: Vec<usize>| -> Option<(usize, f64, Schedule)> {
-        candidates
+    let best_of = |candidates: &[usize]| -> Option<(usize, f64)> {
+        let runs = rayon::current_num_threads().clamp(1, candidates.len().max(1));
+        let bests: Vec<_> = (0..runs)
             .into_par_iter()
-            .map(eval_n)
-            .fold(|| None, |best, cand| better_candidate(best, Some(cand)))
-            .reduce(|| None, better_candidate)
+            .map(|r| {
+                let run =
+                    &candidates[r * candidates.len() / runs..(r + 1) * candidates.len() / runs];
+                let mut eval = evaluator();
+                let mut flags = vec![false; n];
+                run.iter().fold(None, |best, &n_ckpt| {
+                    set_for(n_ckpt, &mut flags);
+                    better_candidate(best, Some((n_ckpt, eval(&flags))))
+                })
+            })
+            .collect();
+        bests.into_iter().fold(None, better_candidate)
     };
 
     let candidates: Vec<usize> = match policy {
@@ -560,7 +619,7 @@ fn sweep_with_cost(
     };
 
     let mut evaluated = candidates.len();
-    let (mut best_n, mut best_e, mut best_s) = best_of(candidates).expect("at least one candidate");
+    let (mut best_n, mut best_e) = best_of(&candidates).expect("at least one candidate");
 
     // Local refinement around the coarse winner for strided sweeps.
     if let SweepPolicy::Strided { stride } = policy {
@@ -570,18 +629,19 @@ fn sweep_with_cost(
             let hi = (best_n + stride - 1).min(n);
             let refine: Vec<usize> = (lo..=hi).filter(|&k| k != best_n).collect();
             evaluated += refine.len();
-            if let Some((k, e, s)) = best_of(refine) {
+            if let Some((k, e)) = best_of(&refine) {
                 if e < best_e || (e == best_e && k < best_n) {
                     best_n = k;
                     best_e = e;
-                    best_s = s;
                 }
             }
         }
     }
 
+    let mut flags = vec![false; n];
+    set_for(best_n, &mut flags);
     OptimizedSchedule {
-        schedule: best_s,
+        schedule: flag_schedule(base, &flags),
         expected_makespan: best_e,
         best_n: Some(best_n),
         evaluated,

@@ -6,14 +6,21 @@
 //! so two clients asking the same question share one computation, and a
 //! spec that differs in any axis can never alias.
 //!
-//! Size-bounded with FIFO eviction: answers are immutable (`Arc`), so a
-//! hit hands out a shared pointer without copying rows. Eviction can only
-//! cost recomputation, never change an answer — pinned by the
-//! `cache_property` tests.
+//! An entry is the answer's serialized hit frame payload
+//! ([`Response::Cell`] with `cached: true`), LZ-packed, not the answer
+//! tree: a hit unpacks the bytes into a reused buffer and writes one
+//! frame, with no clone and no re-serialization, and an entry holds about
+//! a tenth of the heap the tree did.
+//! Size-bounded with FIFO eviction: eviction can only cost recomputation,
+//! never change an answer — pinned by the `cache_property` tests.
+//!
+//! [`ScenarioSpec::to_json`]: dagchkpt_bench::ScenarioSpec::to_json
 
-use crate::protocol::{Response, TailSummary};
+use crate::lz;
+use crate::protocol::{write_frame, Response, TailSummary};
 use dagchkpt_bench::{ScheduleDetail, TenantRow};
 use std::collections::{HashMap, VecDeque};
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -47,10 +54,47 @@ impl CellAnswer {
     }
 }
 
+/// A cached answer: the JSON payload of its hit frame, byte-identical to
+/// serializing `answer.to_response(true)`, stored LZ-packed.
+#[derive(Debug)]
+pub struct HitFrame {
+    packed: Box<[u8]>,
+}
+
+impl HitFrame {
+    fn new(answer: &CellAnswer) -> Self {
+        let payload = serde_json::to_string(&answer.to_response(true)).expect("answer serializes");
+        HitFrame {
+            packed: lz::pack(payload.as_bytes()).into_boxed_slice(),
+        }
+    }
+
+    /// Writes the hit frame to `w`, unpacking the payload into the
+    /// caller's reusable `buf`.
+    pub fn write_to<W: Write>(&self, w: &mut W, buf: &mut Vec<u8>) -> io::Result<()> {
+        lz::unpack_into(&self.packed, buf);
+        write_frame(w, buf)
+    }
+
+    /// Decodes the frame back into a response with the given `cached`
+    /// flag. Not on the serving path — a hit sends the stored bytes.
+    pub fn to_response(&self, cached: bool) -> Response {
+        let mut payload = Vec::new();
+        lz::unpack_into(&self.packed, &mut payload);
+        let text = std::str::from_utf8(&payload).expect("cached frames are UTF-8");
+        let mut resp: Response = serde_json::from_str(text).expect("cached frames decode");
+        if let Response::Cell { cached: c, .. } = &mut resp {
+            *c = cached;
+        }
+        resp
+    }
+}
+
 struct Inner {
-    map: HashMap<String, Arc<CellAnswer>>,
+    /// Keys are shared with `order`, so each key is stored once.
+    map: HashMap<Arc<str>, Arc<HitFrame>>,
     /// Insertion order, oldest first (FIFO eviction).
-    order: VecDeque<String>,
+    order: VecDeque<Arc<str>>,
 }
 
 /// Counter snapshot for [`Request::Stats`](crate::protocol::Request).
@@ -95,7 +139,7 @@ impl ResponseCache {
         format!("{format:?}|{cell}|{spec_json}")
     }
 
-    /// Looks up an answer, counting the hit or miss.
+    /// Looks up an answer's hit frame, counting the hit or miss.
     ///
     /// Lock poisoning is recovered, not propagated: the cache holds only
     /// plain-old-data behind `Arc`s, every mutation leaves `map` and
@@ -104,7 +148,7 @@ impl ResponseCache {
     /// — which costs a recomputation, never a wrong answer. Propagating
     /// the poison instead would cascade the one panicking worker's fate
     /// onto every other worker despite their per-request `catch_unwind`.
-    pub fn get(&self, key: &str) -> Option<Arc<CellAnswer>> {
+    pub fn get(&self, key: &str) -> Option<Arc<HitFrame>> {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         match inner.map.get(key) {
             Some(a) => {
@@ -118,16 +162,19 @@ impl ResponseCache {
         }
     }
 
-    /// Inserts an answer, evicting the oldest entry when full. Answers
-    /// are computed *outside* the lock; if two workers raced on the same
-    /// key, the results are identical (deterministic evaluation), so
+    /// Inserts an answer (stored as its serialized hit frame), evicting
+    /// the oldest entry when full. Answers are computed and serialized
+    /// *outside* the lock; if two workers raced on the same key, the
+    /// results are identical (deterministic evaluation), so
     /// last-writer-wins is safe.
     pub fn insert(&self, key: String, answer: Arc<CellAnswer>) {
         if self.capacity == 0 {
             return;
         }
+        let frame = Arc::new(HitFrame::new(&answer));
+        let key: Arc<str> = key.into();
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.map.insert(key.clone(), answer).is_none() {
+        if inner.map.insert(Arc::clone(&key), frame).is_none() {
             inner.order.push_back(key);
             while inner.order.len() > self.capacity {
                 if let Some(oldest) = inner.order.pop_front() {
@@ -220,11 +267,45 @@ mod tests {
             "lock must actually be poisoned"
         );
         // Every entry point keeps working on the recovered data.
-        assert_eq!(cache.get("a").unwrap().rows, vec![vec!["a".to_string()]]);
+        assert_eq!(
+            cache.get("a").unwrap().to_response(true),
+            answer("a").to_response(true)
+        );
         cache.insert("b".to_string(), answer("b"));
         assert!(cache.get("b").is_some());
         let s = cache.stats();
         assert_eq!((s.entries, s.capacity), (2, 2));
+    }
+
+    #[test]
+    fn hit_frame_is_the_serialized_cached_response() {
+        let answer = Arc::new(CellAnswer {
+            header: vec!["a,b".to_string(), "q\"uote".to_string()],
+            rows: vec![vec!["1.5".to_string(), "x\ny".to_string()]],
+            schedules: Vec::new(),
+            tails: vec![TailSummary {
+                row: 0,
+                p50: 1.25,
+                p95: 2.5,
+                p99: 1e300,
+            }],
+            tenants: Vec::new(),
+        });
+        let cache = ResponseCache::new(1);
+        cache.insert("k".to_string(), Arc::clone(&answer));
+        let frame = cache.get("k").unwrap();
+        let (mut hit, mut reference) = (Vec::new(), Vec::new());
+        frame.write_to(&mut hit, &mut Vec::new()).unwrap();
+        crate::protocol::write_response_into(
+            &mut reference,
+            &answer.to_response(true),
+            &mut String::new(),
+        )
+        .unwrap();
+        assert_eq!(hit, reference);
+        for cached in [true, false] {
+            assert_eq!(frame.to_response(cached), answer.to_response(cached));
+        }
     }
 
     #[test]

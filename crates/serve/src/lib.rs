@@ -18,10 +18,11 @@
 
 pub mod cache;
 pub mod loadgen;
+mod lz;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{CacheStats, CellAnswer, ResponseCache};
+pub use cache::{CacheStats, CellAnswer, HitFrame, ResponseCache};
 pub use loadgen::{
     bench_load, replay_campaign, run_malformed_corpus, BenchReport, Client, ClientError,
 };

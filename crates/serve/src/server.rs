@@ -22,7 +22,7 @@
 //!   the accept loop, closes the queue and lets every worker finish its
 //!   current connection before [`Server::run`] returns.
 
-use crate::cache::{CellAnswer, ResponseCache};
+use crate::cache::{CellAnswer, HitFrame, ResponseCache};
 use crate::protocol::{read_frame, write_response_into, FrameRead, Request, Response, TailSummary};
 use dagchkpt_bench::{
     cell_csv_rows, run_cell_full, stage_header, tenant_csv_rows, ArrivalSpec, OutputFormat,
@@ -221,9 +221,11 @@ fn handle_connection(
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut pending = 0usize;
-    // One serialization buffer per connection: every response reuses it
-    // instead of allocating a fresh String (same bytes on the wire).
+    // One serialization buffer and one hit-frame buffer per connection:
+    // every response reuses them instead of allocating (same bytes on the
+    // wire).
     let mut scratch = String::new();
+    let mut hit_buf = Vec::new();
     loop {
         match read_frame(&mut reader) {
             FrameRead::Idle => {
@@ -266,8 +268,11 @@ fn handle_connection(
             FrameRead::Err(e) => return Err(e),
             FrameRead::Payload(bytes) => {
                 served.fetch_add(1, Ordering::Relaxed);
-                let (resp, bye) = answer_frame(&bytes, cache, served);
-                write_response_into(&mut writer, &resp, &mut scratch)?;
+                let (reply, bye) = answer_frame(&bytes, cache, served);
+                match reply {
+                    Reply::Fresh(resp) => write_response_into(&mut writer, &resp, &mut scratch)?,
+                    Reply::Hit(frame) => frame.write_to(&mut writer, &mut hit_buf)?,
+                }
                 pending += 1;
                 if bye {
                     writer.flush()?;
@@ -285,46 +290,65 @@ fn handle_connection(
     }
 }
 
+/// What a request is answered with.
+enum Reply {
+    /// A response to serialize.
+    Fresh(Response),
+    /// A cache hit: the stored frame, sent as is.
+    Hit(Arc<HitFrame>),
+}
+
 /// Decodes and answers one request frame; the bool asks the caller to
 /// close down after replying (shutdown acknowledged).
-fn answer_frame(bytes: &[u8], cache: &ResponseCache, served: &AtomicU64) -> (Response, bool) {
+fn answer_frame(bytes: &[u8], cache: &ResponseCache, served: &AtomicU64) -> (Reply, bool) {
     let text = match std::str::from_utf8(bytes) {
         Ok(t) => t,
         Err(e) => {
             return (
-                Response::error("bad_request", format!("frame is not UTF-8: {e}")),
+                Reply::Fresh(Response::error(
+                    "bad_request",
+                    format!("frame is not UTF-8: {e}"),
+                )),
                 false,
             )
         }
     };
     let req: Request = match serde_json::from_str(text) {
         Ok(r) => r,
-        Err(e) => return (Response::error("bad_request", format!("{e}")), false),
+        Err(e) => {
+            return (
+                Reply::Fresh(Response::error("bad_request", format!("{e}"))),
+                false,
+            )
+        }
     };
     match req {
-        Request::Ping => (Response::Pong, false),
-        Request::Shutdown => (Response::Bye, true),
+        Request::Ping => (Reply::Fresh(Response::Pong), false),
+        Request::Shutdown => (Reply::Fresh(Response::Bye), true),
         Request::Stats => {
             let s = cache.stats();
             (
-                Response::Stats {
+                Reply::Fresh(Response::Stats {
                     served: served.load(Ordering::Relaxed),
                     hits: s.hits,
                     misses: s.misses,
                     entries: s.entries,
                     capacity: s.capacity,
-                },
+                }),
                 false,
             )
         }
         Request::Cell { spec, cell, format } => {
             // One bad cell must never take the worker down: anything that
             // slips past validation and panics becomes an error frame.
-            let resp = catch_unwind(AssertUnwindSafe(|| answer_cell(&spec, cell, format, cache)))
+            let reply = catch_unwind(AssertUnwindSafe(|| answer_cell(&spec, cell, format, cache)))
                 .unwrap_or_else(|_| {
-                    Response::error("internal", "panic while answering; request rejected")
+                    Reply::Fresh(Response::error(
+                        "internal",
+                        "panic while answering; request rejected",
+                    ))
                 });
-            (resp, false)
+            (reply, false)
         }
     }
 }
@@ -337,42 +361,42 @@ fn answer_cell(
     cell: usize,
     format: OutputFormat,
     cache: &ResponseCache,
-) -> Response {
+) -> Reply {
     if let Err(e) = spec.validate() {
-        return Response::error("invalid_spec", e.to_string());
+        return Reply::Fresh(Response::error("invalid_spec", e.to_string()));
     }
     if format == OutputFormat::NonBlockingPivot && spec.strategy_cells().len() != 1 {
-        return Response::error(
+        return Reply::Fresh(Response::error(
             "invalid_spec",
             "NonBlockingPivot output requires exactly one strategy",
-        );
+        ));
     }
     if format == OutputFormat::TenantRows && ArrivalSpec::is_off(&spec.arrivals) {
-        return Response::error(
+        return Reply::Fresh(Response::error(
             "invalid_spec",
             "TenantRows output requires an `arrivals` stream on the spec",
-        );
+        ));
     }
     let plans = match spec.expand() {
         Ok(p) => p,
-        Err(e) => return Response::error("invalid_spec", e.to_string()),
+        Err(e) => return Reply::Fresh(Response::error("invalid_spec", e.to_string())),
     };
     let Some(plan) = plans.get(cell) else {
-        return Response::error(
+        return Reply::Fresh(Response::error(
             "cell_out_of_range",
             format!(
                 "cell {cell} out of range (scenario expands to {} cells)",
                 plans.len()
             ),
-        );
+        ));
     };
     let key = ResponseCache::key(&spec.to_json(), cell, format);
-    if let Some(answer) = cache.get(&key) {
-        return answer.to_response(true);
+    if let Some(frame) = cache.get(&key) {
+        return Reply::Hit(frame);
     }
     let exec = match run_cell_full(spec, plan) {
         Ok(e) => e,
-        Err(e) => return Response::error("cell_error", e.to_string()),
+        Err(e) => return Reply::Fresh(Response::error("cell_error", e.to_string())),
     };
     // Tail quantiles ride along for every format; analytic rows (NaN
     // quantiles) are skipped so the frame never carries non-finite JSON.
@@ -424,5 +448,5 @@ fn answer_cell(
         tenants,
     });
     cache.insert(key, Arc::clone(&answer));
-    answer.to_response(false)
+    Reply::Fresh(answer.to_response(false))
 }

@@ -11,9 +11,10 @@
 //!    flattens the `(workflow, schedule)` pair once and shares it across
 //!    every trial of every worker.
 //!
-//! Tests in this binary serialize on one mutex: the counter is global, so
-//! a concurrently allocating test would leak counts into a measurement
-//! window.
+//! The counter is per thread and every measurement window runs on the
+//! test's own thread, so the harness starting other tests cannot leak
+//! counts into a window. Tests still serialize on one mutex because the
+//! compile counter is global.
 
 use dagchkpt_core::{Schedule, Workflow};
 use dagchkpt_dag::{generators, topo, FixedBitSet};
@@ -26,17 +27,24 @@ use dagchkpt_sim::replicated::{run_replicated_trials_with, simulate_replicated_p
 use dagchkpt_sim::tenant::{run_tenant_trials_with, TenantConfig, TenantJob, TenantPolicy};
 use dagchkpt_sim::trialplan::{plan_compile_count, simulate_planned, TrialPlan, TrialScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
-/// Forwards to the system allocator, counting every `alloc`/`realloc`.
+/// Forwards to the system allocator, counting every `alloc`/`realloc`
+/// of the calling thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -45,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -57,7 +65,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 fn fixture(n: usize, every: usize) -> (Workflow, Schedule) {
