@@ -16,7 +16,7 @@ use crate::scenario::{
 };
 use dagchkpt_core::{
     evaluator, exact, linearize, optimize_checkpoints_quantile, optimize_joint,
-    optimize_joint_storage, run_heuristic, run_heuristic_with, select_storage, storage_scales,
+    optimize_joint_with, run_heuristic, run_heuristic_with, select_storage, storage_scales,
     LinearizationStrategy, ReplicatedEvaluator, Schedule, SelectionSpec, StorageStrategy,
     SweepPolicy, Workflow,
 };
@@ -311,7 +311,7 @@ fn storage_label(
 /// and a `NaN` candidate can never displace a finite one), then refines
 /// per task when the spec asks for it. Under the `joint` optimizer with
 /// `per-task` selection, tier choice instead becomes the third axis of
-/// the coordinate descent itself ([`optimize_joint_storage`]); under a
+/// the coordinate descent itself ([`optimize_joint_with`]); under a
 /// fixed tier the joint descent runs on a single-tier sub-hierarchy so
 /// the tier stays pinned while budget and replica sets co-optimize.
 ///
@@ -336,7 +336,7 @@ fn run_strategy_storage(
     if optimizer == OptimizerSpec::Joint && *select == StorageSelect::PerTask {
         if let (StrategyCell::Heuristic(h), Some((platform, degrees))) = (strat, hetero) {
             let order = linearize(wf, h.lin);
-            let j = optimize_joint_storage(
+            let j = optimize_joint_with(
                 wf,
                 platform,
                 &order,
@@ -345,8 +345,7 @@ fn run_strategy_storage(
                 degrees,
                 JOINT_ROUNDS,
                 SelectionSpec::Prefixes,
-                hierarchy,
-                &vec![0; n],
+                Some((hierarchy, &vec![0; n])),
             )
             .expect("the prefix family is infallible");
             return Ok(StrategyOutcome {
@@ -384,7 +383,7 @@ fn run_strategy_storage(
                 if let Some((platform, degrees)) = hetero {
                     let ev = ReplicatedEvaluator::from_degrees(wf, platform, degrees)
                         .with_storage(hierarchy, &tiers);
-                    out.expected = ev.expected_makespan(&out.schedule);
+                    out.expected = ev.evaluate(&out.schedule).expected_makespan;
                 }
                 out
             }
@@ -417,7 +416,7 @@ fn run_strategy_storage(
                 // contention term at the actual replica-group sizes.
                 let sub = StorageHierarchy::new(vec![hierarchy.tiers()[tier].clone()])
                     .expect("a validated tier forms a valid singleton hierarchy");
-                let j = optimize_joint_storage(
+                let j = optimize_joint_with(
                     wf,
                     platform,
                     &order,
@@ -426,8 +425,7 @@ fn run_strategy_storage(
                     degrees,
                     JOINT_ROUNDS,
                     SelectionSpec::Prefixes,
-                    &sub,
-                    &vec![0; n],
+                    Some((&sub, &vec![0; n])),
                 )
                 .expect("the prefix family is infallible");
                 StrategyOutcome {

@@ -854,7 +854,7 @@ pub enum OptimizerSpec {
     Proxy,
     /// Sweep each heuristic's checkpoint budget directly against the
     /// exact replication-aware evaluator on the cell's platform ×
-    /// replication degrees (memoized incremental evaluation).
+    /// replication degrees (resumed incremental evaluation).
     ReplicationAware,
     /// Coordinate descent over (checkpoint budget × per-task replica
     /// sets): the replication-aware sweep plus per-task replica

@@ -293,7 +293,7 @@ pub fn hetero_replication_campaign(scale: Scale, seed: u64) -> Campaign {
 ///   single-machine proxy, re-evaluated replicated (the pre-optimizer
 ///   behavior);
 /// * `replication_aware_aware.csv` — budgets swept directly against the
-///   replicated evaluator (memoized);
+///   replicated evaluator;
 /// * `replication_aware_joint.csv` — the coordinate descent over
 ///   (budget × per-task replica sets).
 ///

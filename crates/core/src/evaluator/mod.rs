@@ -79,24 +79,31 @@ pub struct EvalReport {
 /// fault model; see [`EvalReport`] for the per-task breakdown.
 pub fn expected_makespan(wf: &Workflow, model: FaultModel, schedule: &Schedule) -> f64 {
     let plan = EvalPlan::new(wf, schedule.order());
-    EvalScratch::new(&plan, model).expected_makespan(&checkpoint_flags(schedule))
+    let mut flags = Vec::new();
+    checkpoint_flags_into(schedule, &mut flags);
+    EvalScratch::new(&plan, model).expected_makespan(&flags)
 }
 
 /// Full evaluation of `schedule`, including the per-position breakdown.
 pub fn evaluate(wf: &Workflow, model: FaultModel, schedule: &Schedule) -> EvalReport {
     let plan = EvalPlan::new(wf, schedule.order());
+    let mut flags = Vec::new();
+    checkpoint_flags_into(schedule, &mut flags);
     let mut scratch = EvalScratch::new(&plan, model);
-    scratch.expected_makespan(&checkpoint_flags(schedule));
+    scratch.expected_makespan(&flags);
     scratch.report()
 }
 
-/// The checkpoint flags of `schedule` by schedule position.
-fn checkpoint_flags(schedule: &Schedule) -> Vec<bool> {
-    schedule
-        .order()
-        .iter()
-        .map(|&t| schedule.is_checkpointed(t))
-        .collect()
+/// Overwrites `out` with the checkpoint flags of `schedule` by schedule
+/// position (reusing its capacity).
+pub(crate) fn checkpoint_flags_into(schedule: &Schedule, out: &mut Vec<bool>) {
+    out.clear();
+    out.extend(
+        schedule
+            .order()
+            .iter()
+            .map(|&t| schedule.is_checkpointed(t)),
+    );
 }
 
 /// Reference probability/expectation assembly (properties A–C) over dense
@@ -199,6 +206,86 @@ pub(crate) fn assemble(
         expected_makespan: total,
         per_position,
         expected_faults: faults,
+    }
+}
+
+/// Helpers shared by the compiled scratches' oracle tests.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::EvalReport;
+    use crate::model::{TaskCosts, Workflow};
+    use dagchkpt_dag::{generators, NodeId};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Asserts that two reports agree bit for bit in every field.
+    pub(crate) fn assert_bitwise(got: &EvalReport, want: &EvalReport, what: &str) {
+        assert_eq!(
+            got.expected_makespan.to_bits(),
+            want.expected_makespan.to_bits(),
+            "{what}: makespan {} vs {}",
+            got.expected_makespan,
+            want.expected_makespan
+        );
+        assert_eq!(
+            got.expected_faults.to_bits(),
+            want.expected_faults.to_bits(),
+            "{what}: faults"
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got.per_position),
+            bits(&want.per_position),
+            "{what}: per-position"
+        );
+    }
+
+    /// Random DAG, weights and linearization (a random topological order).
+    pub(crate) fn random_instance(seed: u64, n: usize) -> (Workflow, Vec<NodeId>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let dag = generators::layered_random(&mut rng, n, 4, 0.35);
+        let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..40.0)).collect();
+        let costs = weights
+            .iter()
+            .map(|&w| {
+                // Repeated weights and zero costs produce equal `A` runs.
+                let w = if rng.gen_bool(0.2) { 10.0 } else { w };
+                TaskCosts::new(w, rng.gen_range(0.0..3.0), rng.gen_range(0.0..3.0))
+            })
+            .collect();
+        let wf = Workflow::new(dag, costs);
+        let order = crate::linearize::linearize(
+            &wf,
+            crate::linearize::LinearizationStrategy::RandomFirst { seed },
+        );
+        (wf, order)
+    }
+
+    /// The candidate sequences a sweep produces, plus adversarial ones.
+    pub(crate) fn sequences(rng: &mut SmallRng, n: usize) -> Vec<Vec<bool>> {
+        let mut seqs = Vec::new();
+        // Nested: one more flag per step, in a random rank order.
+        let mut rank: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            rank.swap(i, rng.gen_range(0..=i));
+        }
+        let mut flags = vec![false; n];
+        seqs.push(flags.clone());
+        for &p in &rank {
+            flags[p] = true;
+            seqs.push(flags.clone());
+        }
+        // Periodic-like: every `step`-th position, for growing `step`.
+        for step in 1..=n.min(6) {
+            seqs.push((0..n).map(|p| p % step == step - 1).collect());
+        }
+        // Arbitrary flips, including repeats of the same candidate.
+        for _ in 0..8 {
+            let f: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
+            seqs.push(f.clone());
+            seqs.push(f);
+        }
+        seqs
     }
 }
 

@@ -23,13 +23,18 @@
 //!   mostly empty, so only a few percent of `(i, k)` pairs need fresh
 //!   transcendentals.
 //!
+//! The plan also serves the replication-aware scratch of
+//! [`super::replicated`], which shares [`lost_set_columns`] and resumes by
+//! the same rules.
+//!
 //! After [`EvalScratch::new`], evaluating a candidate never allocates.
 //!
 //! [`RecoveryMatrices::compute`]: super::recovery::RecoveryMatrices::compute
 
 use super::EvalReport;
 use crate::model::Workflow;
-use dagchkpt_dag::NodeId;
+use crate::schedule::Schedule;
+use dagchkpt_dag::{FixedBitSet, NodeId};
 use dagchkpt_failure::FaultModel;
 
 /// One workflow under one linearization, flattened into position-indexed
@@ -37,8 +42,12 @@ use dagchkpt_failure::FaultModel;
 #[derive(Debug, Clone)]
 pub struct EvalPlan {
     n: usize,
-    w: Vec<f64>,
-    c: Vec<f64>,
+    /// The linearization with no checkpoint: the task id at each position.
+    base: Schedule,
+    /// 1-based schedule position of each task id.
+    pos: Vec<u32>,
+    pub(super) w: Vec<f64>,
+    pub(super) c: Vec<f64>,
     r: Vec<f64>,
     /// CSR row starts: the predecessor positions of position `i` are
     /// `preds[pred_start[i]..pred_start[i + 1]]`, in DAG adjacency order
@@ -48,14 +57,17 @@ pub struct EvalPlan {
 }
 
 impl EvalPlan {
-    /// Compiles `wf` under the linearization `order` (a permutation of
-    /// the task ids, as held by a valid [`crate::Schedule`]).
+    /// Compiles `wf` under the linearization `order`.
+    ///
+    /// # Panics
+    ///
+    /// If `order` is not a linearization of `wf`'s DAG.
     pub fn new(wf: &Workflow, order: &[NodeId]) -> Self {
         let n = wf.n_tasks();
-        assert_eq!(order.len(), n, "order must cover every task");
-        let mut pos1 = vec![0u32; n];
+        let base = Schedule::never(wf, order.to_vec()).expect("order must be a linearization");
+        let mut pos = vec![0u32; n];
         for (idx, &t) in order.iter().enumerate() {
-            pos1[t.index()] = idx as u32 + 1;
+            pos[t.index()] = idx as u32 + 1;
         }
         let mut w = vec![0.0f64; n + 1];
         let mut c = vec![0.0f64; n + 1];
@@ -68,11 +80,13 @@ impl EvalPlan {
             w[i] = wf.work(t);
             c[i] = wf.checkpoint_cost(t);
             r[i] = wf.recovery_cost(t);
-            preds.extend(wf.dag().preds(t).iter().map(|p| pos1[p.index()]));
+            preds.extend(wf.dag().preds(t).iter().map(|p| pos[p.index()]));
             pred_start.push(preds.len() as u32);
         }
         EvalPlan {
             n,
+            base,
+            pos,
             w,
             c,
             r,
@@ -81,9 +95,78 @@ impl EvalPlan {
         }
     }
 
+    /// Number of tasks.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The linearization: the task id at each (0-based) position.
+    pub fn order(&self) -> &[NodeId] {
+        self.base.order()
+    }
+
+    /// 1-based schedule position of task id `task`.
+    pub fn position(&self, task: usize) -> usize {
+        self.pos[task] as usize
+    }
+
+    /// The schedule this linearization runs with the checkpoint flags
+    /// `flags` (by 0-based position).
+    pub fn schedule(&self, flags: &[bool]) -> Schedule {
+        let order = self.order();
+        self.base.with_checkpoints(FixedBitSet::from_indices(
+            order.len(),
+            (0..flags.len())
+                .filter(|&p| flags[p])
+                .map(|p| order[p].index()),
+        ))
+    }
+
     #[inline]
     fn preds_of(&self, i: usize) -> &[u32] {
         &self.preds[self.pred_start[i] as usize..self.pred_start[i + 1] as usize]
+    }
+}
+
+/// Recomputes the lost-set columns `k_from..=n` under the checkpoint flags
+/// `ckpt` and the per-position recovery costs `r` (both 1-based), handing
+/// each `(i, k, W^i_k, R^i_k)` to `store` (see [`super::recovery`] for the
+/// mark-array semantics). The one DFS behind both compiled scratches.
+pub(super) fn lost_set_columns(
+    plan: &EvalPlan,
+    r: &[f64],
+    ckpt: &[bool],
+    k_from: usize,
+    mark: &mut [u32],
+    stack: &mut Vec<u32>,
+    mut store: impl FnMut(usize, usize, f64, f64),
+) {
+    let n = plan.n;
+    for k in k_from..=n {
+        mark.fill(0);
+        for i in k..=n {
+            let mut wi = 0.0f64;
+            let mut ri = 0.0f64;
+            stack.push(i as u32);
+            while let Some(t) = stack.pop() {
+                for &j in plan.preds_of(t as usize) {
+                    let j = j as usize;
+                    if mark[j] != 0 {
+                        continue;
+                    }
+                    mark[j] = i as u32;
+                    if j < k {
+                        if ckpt[j] {
+                            ri += r[j];
+                        } else {
+                            wi += plan.w[j];
+                            stack.push(j as u32);
+                        }
+                    }
+                }
+            }
+            store(i, k, wi, ri);
+        }
     }
 }
 
@@ -162,7 +245,17 @@ impl<'p> EvalScratch<'p> {
             self.fault_free();
         } else {
             // Columns `k ≤ p` only read flags of positions `< p`.
-            self.recovery_columns(if self.warm { p + 1 } else { 1 });
+            let stride = n + 1;
+            let a = &mut self.a;
+            lost_set_columns(
+                self.plan,
+                &self.plan.r,
+                &self.ckpt,
+                if self.warm { p + 1 } else { 1 },
+                &mut self.mark,
+                &mut self.stack,
+                |i, k, wi, ri| a[i * stride + k] = wi + ri,
+            );
             for i in p..=n {
                 self.assemble_row(i);
             }
@@ -174,13 +267,8 @@ impl<'p> EvalScratch<'p> {
     /// The full report of the last evaluated candidate (per-position
     /// breakdown and expected fault count).
     pub fn report(&self) -> EvalReport {
-        let n = self.plan.n;
-        assert!(self.warm || n == 0, "no candidate evaluated yet");
-        EvalReport {
-            expected_makespan: self.total[n],
-            per_position: self.ex[1..].to_vec(),
-            expected_faults: self.faults[n],
-        }
+        assert!(self.warm || self.plan.n == 0, "no candidate evaluated yet");
+        report_of(&self.ex, &self.total, &self.faults)
     }
 
     /// The fault-free limit: every task runs once, checkpointed tasks pay
@@ -192,40 +280,6 @@ impl<'p> EvalScratch<'p> {
         }
         self.total[n] = self.ex[1..].iter().sum();
         self.faults[n] = 0.0;
-    }
-
-    /// Recomputes the lost-set columns `k_from..=n` of `A` (see
-    /// [`super::recovery`] for the mark-array semantics).
-    fn recovery_columns(&mut self, k_from: usize) {
-        let plan = self.plan;
-        let n = plan.n;
-        let stride = n + 1;
-        for k in k_from..=n {
-            self.mark.fill(0);
-            for i in k..=n {
-                let mut wi = 0.0f64;
-                let mut ri = 0.0f64;
-                self.stack.push(i as u32);
-                while let Some(t) = self.stack.pop() {
-                    for &j in plan.preds_of(t as usize) {
-                        let j = j as usize;
-                        if self.mark[j] != 0 {
-                            continue;
-                        }
-                        self.mark[j] = i as u32;
-                        if j < k {
-                            if self.ckpt[j] {
-                                ri += plan.r[j];
-                            } else {
-                                wi += plan.w[j];
-                                self.stack.push(j as u32);
-                            }
-                        }
-                    }
-                }
-                self.a[i * stride + k] = wi + ri;
-            }
-        }
     }
 
     /// Assembly row `i` (properties A–C): `E[X_i]`, the running totals,
@@ -282,99 +336,30 @@ impl<'p> EvalScratch<'p> {
     }
 }
 
+/// The report of a scratch's position-indexed rows.
+pub(super) fn report_of(ex: &[f64], total: &[f64], faults: &[f64]) -> EvalReport {
+    let n = ex.len() - 1;
+    EvalReport {
+        expected_makespan: total[n],
+        per_position: ex[1..].to_vec(),
+        expected_faults: faults[n],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::test_support::{assert_bitwise, random_instance, sequences};
     use crate::evaluator::{assemble, recovery::RecoveryMatrices};
-    use crate::model::{CostRule, TaskCosts};
-    use crate::schedule::Schedule;
-    use dagchkpt_dag::{generators, topo, FixedBitSet};
+    use crate::model::CostRule;
+    use dagchkpt_dag::{generators, topo};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     /// The reference oracle: dense matrices, then the shared assembly.
     fn oracle(wf: &Workflow, model: FaultModel, s: &Schedule) -> EvalReport {
         assemble(wf, model, s, &RecoveryMatrices::compute(wf, s))
-    }
-
-    fn assert_bitwise(got: &EvalReport, want: &EvalReport, what: &str) {
-        assert_eq!(
-            got.expected_makespan.to_bits(),
-            want.expected_makespan.to_bits(),
-            "{what}: makespan {} vs {}",
-            got.expected_makespan,
-            want.expected_makespan
-        );
-        assert_eq!(
-            got.expected_faults.to_bits(),
-            want.expected_faults.to_bits(),
-            "{what}: faults"
-        );
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&got.per_position),
-            bits(&want.per_position),
-            "{what}: per-position"
-        );
-    }
-
-    /// Random DAG, weights and linearization (a random topological order).
-    fn random_instance(seed: u64, n: usize) -> (Workflow, Vec<NodeId>) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let dag = generators::layered_random(&mut rng, n, 4, 0.35);
-        let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..40.0)).collect();
-        let costs = weights
-            .iter()
-            .map(|&w| {
-                // Repeated weights and zero costs produce equal `A` runs.
-                let w = if rng.gen_bool(0.2) { 10.0 } else { w };
-                TaskCosts::new(w, rng.gen_range(0.0..3.0), rng.gen_range(0.0..3.0))
-            })
-            .collect();
-        let wf = Workflow::new(dag, costs);
-        let order = crate::linearize::linearize(
-            &wf,
-            crate::linearize::LinearizationStrategy::RandomFirst { seed },
-        );
-        (wf, order)
-    }
-
-    fn schedule_of(wf: &Workflow, order: &[NodeId], flags: &[bool]) -> Schedule {
-        let set = FixedBitSet::from_indices(
-            wf.n_tasks(),
-            (0..flags.len())
-                .filter(|&p| flags[p])
-                .map(|p| order[p].index()),
-        );
-        Schedule::new(wf, order.to_vec(), set).unwrap()
-    }
-
-    /// The candidate sequences a sweep produces, plus adversarial ones.
-    fn sequences(rng: &mut SmallRng, n: usize) -> Vec<Vec<bool>> {
-        let mut seqs = Vec::new();
-        // Nested: one more flag per step, in a random rank order.
-        let mut rank: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            rank.swap(i, rng.gen_range(0..=i));
-        }
-        let mut flags = vec![false; n];
-        seqs.push(flags.clone());
-        for &p in &rank {
-            flags[p] = true;
-            seqs.push(flags.clone());
-        }
-        // Periodic-like: every `step`-th position, for growing `step`.
-        for step in 1..=n.min(6) {
-            seqs.push((0..n).map(|p| p % step == step - 1).collect());
-        }
-        // Arbitrary flips, including repeats of the same candidate.
-        for _ in 0..8 {
-            let f: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.4)).collect();
-            seqs.push(f.clone());
-            seqs.push(f);
-        }
-        seqs
     }
 
     fn check_sequences(wf: &Workflow, order: &[NodeId], model: FaultModel, seed: u64) {
@@ -383,7 +368,7 @@ mod tests {
         let mut scratch = EvalScratch::new(&plan, model);
         for (step, flags) in sequences(&mut rng, wf.n_tasks()).iter().enumerate() {
             let e = scratch.expected_makespan(flags);
-            let want = oracle(wf, model, &schedule_of(wf, order, flags));
+            let want = oracle(wf, model, &plan.schedule(flags));
             assert_eq!(e.to_bits(), want.expected_makespan.to_bits(), "step {step}");
             assert_bitwise(&scratch.report(), &want, &format!("step {step}"));
         }
@@ -420,7 +405,7 @@ mod tests {
                 let mut scratch = EvalScratch::new(&plan, model);
                 for flags in [vec![false; n], vec![true; n], vec![false; n]] {
                     let e = scratch.expected_makespan(&flags);
-                    let want = oracle(&wf, model, &schedule_of(&wf, &order, &flags));
+                    let want = oracle(&wf, model, &plan.schedule(&flags));
                     assert_eq!(e.to_bits(), want.expected_makespan.to_bits());
                     assert_bitwise(&scratch.report(), &want, &format!("n = {n}"));
                 }

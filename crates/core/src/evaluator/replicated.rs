@@ -70,18 +70,42 @@
 //! (`tests` pin the text), and this module asserts the hard `u32`-mask
 //! bound of 32 replicas loudly rather than overflowing.
 //!
-//! # Memoized incremental evaluation
+//! # Compiled, resumable evaluation
 //!
-//! A checkpoint-budget sweep evaluates `n` candidate schedules that differ
-//! in a handful of checkpoint bits: most `(block, rework, recovery)`
-//! attempt contents — hence their `2^r` statistics — are **shared between
-//! candidates**. [`ReplicatedEvaluator`] caches per-attempt statistics
-//! keyed on the exact bit patterns of the attempt content, so a candidate
-//! that changes only a few block boundaries recomputes only the affected
-//! blocks' statistics; everything else is a hash lookup. The cache is
-//! *transparent*: on a miss it runs the very same code the uncached path
-//! runs, so memoized and naive evaluations are **bit-identical** (pinned
-//! by tests and the `optimizer/sweep_memoized` bench).
+//! The evaluator runs on the compiled path of [`super::plan`]: the same
+//! [`EvalPlan`] as the homogeneous evaluator (position-indexed costs,
+//! predecessor lists, the task id at each position) and a replicated
+//! scratch holding separate `W` and `R` matrices (replicas scale rework by
+//! their speed and recovery reads by their read bandwidth, so `W + R` is
+//! not enough), per-`(i, k)` attempt statistics — the pool-order `q` of
+//! property A and the sorted-order `(q, M)` of the assembly — the
+//! `P(Z^i_k)` rows, and prefix totals and fault counts. The lost-set
+//! columns come from the one DFS both scratches share. Each change
+//! recomputes only what depends on it:
+//!
+//! | change at position `p`                | recompute                                        |
+//! |---------------------------------------|--------------------------------------------------|
+//! | checkpoint flag (first difference)    | columns `k > p`, stats rows `≥ p`, assembly `≥ p` |
+//! | replica set of the task               | stats row `p`, assembly rows `≥ p`               |
+//! | storage tier of the task              | columns `k > p`, stats rows `≥ p`, assembly `≥ p` |
+//!
+//! A stats row `i > p` recomputes only its columns `k > p` unless its own
+//! flag changed. Inside a row, consecutive bitwise-equal `(W, R)` pairs
+//! share one attempt-statistics computation — on Pegasus shapes most lost
+//! sets are empty, so most pairs are `(0, 0)`. Attempt statistics run on
+//! stack buffers, so a candidate or a replica/tier move never allocates
+//! once the scratch exists. The arithmetic and its order are exactly those
+//! of the uncached reference (dense [`super::recovery::RecoveryMatrices`]
+//! plus per-pair statistics, kept as the test oracle), so every value is
+//! **bit-identical** to it.
+//!
+//! The `&mut self` entry points ([`ReplicatedEvaluator::expected_makespan`]
+//! after [`ReplicatedEvaluator::set_replicas`] or
+//! [`ReplicatedEvaluator::set_tier`]) resume the evaluator's own scratch;
+//! a budget sweep gets one fresh scratch per worker run through
+//! [`crate::Objective::flag_evaluator`]; `&self` callers
+//! ([`ReplicatedEvaluator::evaluate`], [`crate::Objective::cost`]) compile
+//! a fresh one per call. Same code, same bits.
 //!
 //! On a **degenerate** platform (one reference processor) with all degrees
 //! 1 the evaluator delegates to [`crate::evaluator::evaluate`], so the
@@ -89,19 +113,24 @@
 //! formulas agree with Equation (1) to floating-point accuracy (see the
 //! tests).
 
-use crate::evaluator::{self, recovery::RecoveryMatrices, EvalReport};
+use crate::evaluator::plan::{lost_set_columns, report_of, EvalPlan};
+use crate::evaluator::{self, checkpoint_flags_into, EvalReport, EvalScratch};
 use crate::model::Workflow;
+use crate::objective::FlagEvaluator;
 use crate::schedule::Schedule;
 use dagchkpt_dag::NodeId;
-use dagchkpt_failure::{HeteroPlatform, StorageHierarchy};
+use dagchkpt_failure::{HeteroPlatform, Processor, StorageHierarchy};
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::RwLock;
 
 /// Replication degrees above this are rejected at scenario validation: the
 /// exact failed-attempt closed form enumerates `2^r` inclusion–exclusion
 /// terms (see the module docs for why no `O(r²)` recurrence exists).
 pub const MAX_REPLICATION_DEGREE: usize = 8;
+
+/// Capacity of the stack buffers holding one attempt's replicas: the
+/// inclusion–exclusion enumerates subsets through a `u32` mask, so a group
+/// has fewer than 32 replicas.
+const GROUP_CAP: usize = 32;
 
 /// One replica's view of a block attempt.
 #[derive(Debug, Clone, Copy)]
@@ -109,6 +138,11 @@ struct Replica {
     lambda: f64,
     d: f64,
 }
+
+const NO_REPLICA: Replica = Replica {
+    lambda: 0.0,
+    d: 0.0,
+};
 
 /// Probability that an attempt fails on every replica:
 /// `q = Π_p (1 − e^{−λ_p d_p})`, in pool order (the property-A product).
@@ -118,25 +152,27 @@ fn group_fail_prob(reps: &[Replica]) -> f64 {
 
 /// `(q, M)`: group-failure probability and unconditional mean elapsed time
 /// of one attempt (success wins at the first surviving completion, failure
-/// ends when the last replica dies).
+/// ends when the last replica dies). Sorts `reps` by completion time.
 fn attempt_stats(reps: &mut [Replica]) -> (f64, f64) {
-    // The inclusion–exclusion below enumerates subsets through a u32 mask;
-    // a silent shift-masking overflow at ≥ 32 replicas would corrupt the
-    // result, so fail loudly (the scenario layer caps degrees at
-    // MAX_REPLICATION_DEGREE long before this, purely for cost).
-    assert!(
-        reps.len() < 32,
-        "replication degree must be < 32 (got {})",
-        reps.len()
-    );
     // Completion order: earliest deterministic finish first (ties are
-    // interchangeable — the elapsed time is the same either way).
-    // `total_cmp`: durations may carry storage-tier read/write factors,
-    // and a total order keeps the sort deterministic (and panic-free)
-    // even if a rogue NaN ever reaches it.
-    reps.sort_by(|a, b| a.d.total_cmp(&b.d));
-    let surv: Vec<f64> = reps.iter().map(|r| (-r.lambda * r.d).exp()).collect();
-    let fail: Vec<f64> = reps.iter().map(|r| -(-r.lambda * r.d).exp_m1()).collect();
+    // interchangeable — the elapsed time is the same either way). A
+    // stable insertion sort under `total_cmp` yields the one order any
+    // stable sort yields, without a sort buffer; `total_cmp` keeps it
+    // deterministic (and panic-free) even if a rogue NaN reaches it.
+    for j in 1..reps.len() {
+        let mut i = j;
+        while i > 0 && reps[i - 1].d.total_cmp(&reps[i].d).is_gt() {
+            reps.swap(i - 1, i);
+            i -= 1;
+        }
+    }
+    let len = reps.len();
+    let (mut surv, mut fail) = ([0.0f64; GROUP_CAP], [0.0f64; GROUP_CAP]);
+    for (p, r) in reps.iter().enumerate() {
+        surv[p] = (-r.lambda * r.d).exp();
+        fail[p] = -(-r.lambda * r.d).exp_m1();
+    }
+    let (surv, fail) = (&surv[..len], &fail[..len]);
     let q: f64 = fail.iter().product();
 
     // N_s = Σ_p d_p · surv_p · Π_{p' ≺ p} fail_{p'}.
@@ -198,13 +234,20 @@ fn attempt_stats(reps: &mut [Replica]) -> (f64, f64) {
 /// `[0, 1, …, r−1]`). An empty or fully out-of-range set falls back to the
 /// best processor, `[0]`.
 pub fn normalize_replica_set(set: &[usize], n_procs: usize) -> Vec<usize> {
-    let mut out: Vec<usize> = set.iter().copied().filter(|&p| p < n_procs).collect();
+    let mut out = Vec::with_capacity(set.len().max(1));
+    normalize_into(set, n_procs, &mut out);
+    out
+}
+
+/// [`normalize_replica_set`] into a reused buffer.
+fn normalize_into(set: &[usize], n_procs: usize, out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(set.iter().copied().filter(|&p| p < n_procs));
     out.sort_unstable();
     out.dedup();
     if out.is_empty() {
         out.push(0);
     }
-    out
 }
 
 /// Number of processor/injector ranks a replica assignment needs: one per
@@ -219,47 +262,37 @@ pub fn replica_rank_count<S: AsRef<[usize]>>(sets: &[S]) -> usize {
         .map_or(1, |m| m + 1)
 }
 
-/// Cached per-attempt statistics, filled lazily: the property-A
-/// pool-order group-failure product (`O(r)`, needed for every `(j, k)`
-/// pair), and the sorted-order `(q, M)` pair of the assembly (the `2^r`
-/// inclusion–exclusion, needed only where `P(Z^i_k) > 0`). The two `q`s
-/// are the same probability accumulated in different floating-point
-/// orders; both are kept so the memoized evaluator reproduces the
-/// uncached arithmetic bit for bit.
-#[derive(Debug, Clone, Copy)]
-struct AttemptEntry {
-    q_pool: f64,
-    /// Sorted-order `(q, M)` — `None` until some assembly needs it.
-    full: Option<(f64, f64)>,
+/// Replication-aware Theorem-3 evaluator over per-task **replica sets**
+/// (see the module docs). Construct once per (platform × assignment),
+/// then evaluate many candidate schedules: a budget sweep resumes one
+/// scratch per worker, and replica/tier moves followed by
+/// [`Self::expected_makespan`] resume the evaluator's own.
+pub struct ReplicatedEvaluator<'a> {
+    pricing: Pricing<'a>,
+    /// The state [`Self::expected_makespan`] resumes, compiled for the
+    /// last linearization it evaluated.
+    resumed: Option<Resumed>,
+    /// Buffer [`Self::set_replicas`] normalizes into.
+    spare: Vec<usize>,
 }
 
-/// Cache key: the attempt content's exact bit patterns. Given a fixed
-/// platform and replica assignment, `(task, checkpointed?, rework,
-/// recovery)` fully determines every replica duration, hence the entry.
-type AttemptKey = (u32, bool, u64, u64);
-
-/// Replication-aware Theorem-3 evaluator over per-task **replica sets**,
-/// with transparent memoization of per-attempt statistics (see the module
-/// docs). Construct once per (platform × assignment), then evaluate many
-/// candidate schedules — a checkpoint-budget sweep or a local search hits
-/// the cache for every block a candidate did not change.
-pub struct ReplicatedEvaluator<'a> {
+/// Everything that prices a block attempt besides its content.
+struct Pricing<'a> {
     /// The workflow with *storage-priced* recovery costs: borrowed and
     /// untouched without a hierarchy; an owned copy with each task's
     /// recovery cost scaled by its tier's read factor once
-    /// [`Self::with_storage`] attaches one. Recovery reads are priced at
-    /// the tier the checkpoint was **written** to (per-source), which is
-    /// exactly what a cost-scaled workflow expresses — and what keeps
-    /// this evaluator consistent with the Monte-Carlo engines simulating
-    /// [`Workflow::with_scaled_costs`] copies.
+    /// [`ReplicatedEvaluator::with_storage`] attaches one. Recovery reads
+    /// are priced at the tier the checkpoint was **written** to
+    /// (per-source), which is exactly what a cost-scaled workflow
+    /// expresses — and what keeps this evaluator consistent with the
+    /// Monte-Carlo engines simulating [`Workflow::with_scaled_costs`]
+    /// copies.
     wf: Cow<'a, Workflow>,
     /// The unscaled original (tier mutations re-derive from it).
     base: &'a Workflow,
     platform: &'a HeteroPlatform,
     sets: Vec<Vec<usize>>,
     storage: Option<StorageAssignment<'a>>,
-    memo: RwLock<HashMap<AttemptKey, AttemptEntry>>,
-    memoize: bool,
 }
 
 /// A checkpoint storage hierarchy plus the per-task tier each task writes
@@ -269,124 +302,14 @@ struct StorageAssignment<'a> {
     tiers: Vec<usize>,
 }
 
-impl<'a> ReplicatedEvaluator<'a> {
-    /// Evaluator over explicit per-task replica sets (processor indices
-    /// into `platform.procs()`, one set per task id). Sets are normalized
-    /// with [`normalize_replica_set`].
-    pub fn from_sets(wf: &'a Workflow, platform: &'a HeteroPlatform, sets: &[Vec<usize>]) -> Self {
-        assert_eq!(sets.len(), wf.n_tasks(), "one replica set per task");
-        let n_procs = platform.n_procs();
-        ReplicatedEvaluator {
-            wf: Cow::Borrowed(wf),
-            base: wf,
-            platform,
-            sets: sets
-                .iter()
-                .map(|s| normalize_replica_set(s, n_procs))
-                .collect(),
-            storage: None,
-            memo: RwLock::new(HashMap::new()),
-            memoize: true,
-        }
-    }
+/// The evaluator's own resumable state.
+struct Resumed {
+    plan: EvalPlan,
+    scratch: ReplicatedScratch,
+    flags: Vec<bool>,
+}
 
-    /// Evaluator over fastest-first prefix sets of the given degrees (the
-    /// historical [`crate::ReplicationStrategy`] shape).
-    pub fn from_degrees(wf: &'a Workflow, platform: &'a HeteroPlatform, degrees: &[usize]) -> Self {
-        assert_eq!(
-            degrees.len(),
-            wf.n_tasks(),
-            "one replication degree per task"
-        );
-        let n_procs = platform.n_procs().max(1);
-        let sets: Vec<Vec<usize>> = degrees
-            .iter()
-            .map(|&d| (0..d.clamp(1, n_procs)).collect())
-            .collect();
-        ReplicatedEvaluator {
-            wf: Cow::Borrowed(wf),
-            base: wf,
-            platform,
-            sets,
-            storage: None,
-            memo: RwLock::new(HashMap::new()),
-            memoize: true,
-        }
-    }
-
-    /// Disables (or re-enables) the attempt-statistics cache — the "naive
-    /// full recompute" half of the `optimizer/sweep_memoized` bench.
-    /// Results are bit-identical either way.
-    pub fn with_memoization(mut self, memoize: bool) -> Self {
-        self.memoize = memoize;
-        self
-    }
-
-    /// The normalized per-task replica sets.
-    pub fn sets(&self) -> &[Vec<usize>] {
-        &self.sets
-    }
-
-    /// Attaches a checkpoint storage hierarchy and a per-task tier
-    /// assignment: task `t` writes its checkpoint to
-    /// `hierarchy.tiers()[tiers[t]]`, so its checkpoint cost is priced at
-    /// that tier's write factor (including replica-write contention) and
-    /// every later recovery *read of that checkpoint* at its read factor
-    /// (per-source pricing — the image is read back from the tier it was
-    /// written to). Tier indices are clamped into the hierarchy. A unit
-    /// hierarchy scales every cost by exactly `1.0`, so results stay
-    /// bit-identical to the scalar cost model.
-    pub fn with_storage(mut self, hierarchy: &'a StorageHierarchy, tiers: &[usize]) -> Self {
-        assert_eq!(tiers.len(), self.wf.n_tasks(), "one storage tier per task");
-        let cap = hierarchy.n_tiers() - 1;
-        let tiers: Vec<usize> = tiers.iter().map(|&t| t.min(cap)).collect();
-        let n = self.base.n_tasks();
-        let rec_scale: Vec<f64> = (0..n)
-            .map(|t| hierarchy.tiers()[tiers[t]].read_factor())
-            .collect();
-        self.wf = Cow::Owned(self.base.with_scaled_costs(&vec![1.0; n], &rec_scale));
-        self.storage = Some(StorageAssignment { hierarchy, tiers });
-        self.memo.write().expect("memo lock").clear();
-        self
-    }
-
-    /// The per-task tier assignment, if a storage hierarchy is attached.
-    pub fn tiers(&self) -> Option<&[usize]> {
-        self.storage.as_ref().map(|s| s.tiers.as_slice())
-    }
-
-    /// Moves task `t`'s checkpoint to `tier`, dropping the task's stale
-    /// cache entries — the storage analogue of [`Self::set_replicas`].
-    ///
-    /// # Panics
-    ///
-    /// If no hierarchy is attached ([`Self::with_storage`]) or `tier` is
-    /// out of range.
-    pub fn set_tier(&mut self, task: usize, tier: usize) {
-        let read_factor = {
-            let s = self
-                .storage
-                .as_mut()
-                .expect("set_tier requires with_storage");
-            assert!(tier < s.hierarchy.n_tiers(), "tier {tier} out of range");
-            s.tiers[task] = tier;
-            s.hierarchy.tiers()[tier].read_factor()
-        };
-        let id = NodeId::from(task);
-        let cost = self.base.recovery_cost(id) * read_factor;
-        self.wf.to_mut().set_recovery_cost(id, cost);
-        // Stale entries of *other* tasks whose recovery plan reads this
-        // checkpoint are keyed by their old recovery-content bits, so
-        // they can never be matched again — only this task's entries
-        // (whose values depend on its write cost and factors beyond the
-        // key) must be dropped explicitly, exactly as in `set_replicas`.
-        let t = task as u32;
-        self.memo
-            .write()
-            .expect("memo lock")
-            .retain(|k, _| k.0 != t);
-    }
-
+impl Pricing<'_> {
     /// Write-cost multiplier of task `t`'s assigned tier (`1.0` without a
     /// hierarchy), including the contention of `t`'s replica-set size
     /// writing concurrently. The *read* factor never appears here: it is
@@ -398,25 +321,7 @@ impl<'a> ReplicatedEvaluator<'a> {
         }
     }
 
-    /// Replaces task `t`'s replica set (normalized), keeping the cache:
-    /// entries are keyed by task id, and stale keys of the changed task
-    /// can never collide with the new set's contents only by also having
-    /// identical durations — so they are dropped explicitly.
-    pub fn set_replicas(&mut self, task: usize, set: &[usize]) {
-        self.sets[task] = normalize_replica_set(set, self.platform.n_procs());
-        let t = task as u32;
-        self.memo
-            .write()
-            .expect("memo lock")
-            .retain(|k, _| k.0 != t);
-    }
-
-    /// Number of cached attempt entries (bench/test introspection).
-    pub fn cached_entries(&self) -> usize {
-        self.memo.read().expect("memo lock").len()
-    }
-
-    /// `true` when this evaluator delegates to the homogeneous evaluator
+    /// `true` when the evaluator delegates to the homogeneous evaluator
     /// outright (single reference processor, every set `[0]`, and any
     /// attached storage tier the identity — a non-unit tier must run the
     /// group recursion to price its factors).
@@ -429,185 +334,270 @@ impl<'a> ReplicatedEvaluator<'a> {
                 .is_none_or(|s| s.tiers.iter().all(|&t| s.hierarchy.tiers()[t].is_unit()))
     }
 
-    /// Replica views of task `t`'s block with rework `wk`, recovery `rk`
-    /// and (iff `ckpt`) the task's checkpoint write. The write duration is
-    /// derived here — not passed in — so the memo key `(t, ckpt, wk, rk)`
-    /// always uniquely determines every replica duration.
-    fn replicas(&self, t: usize, ckpt: bool, wk: f64, rk: f64) -> Vec<Replica> {
-        let id = dagchkpt_dag::NodeId::from(t);
-        let w = self.wf.work(id);
-        let write = if ckpt {
-            self.wf.checkpoint_cost(id)
+    /// The replica group of task `t`'s block with work `w` and, iff
+    /// `ckpt`, the checkpoint write `c`.
+    ///
+    /// # Panics
+    ///
+    /// If the replica set has 32 or more processors (the failed-attempt
+    /// closed form enumerates subsets through a 32-bit mask; the scenario
+    /// layer caps degrees at [`MAX_REPLICATION_DEGREE`] anyway).
+    fn group(&self, t: usize, ckpt: bool, w: f64, c: f64) -> Group<'_> {
+        let set = &self.sets[t];
+        assert!(
+            set.len() < GROUP_CAP,
+            "replication degree must be < 32 (got {})",
+            set.len()
+        );
+        let write = if ckpt { c } else { 0.0 };
+        Group {
+            procs: self.platform.procs(),
+            set,
+            w,
+            // The tier's write factor composes multiplicatively with the
+            // per-processor bandwidth factor; without a hierarchy it is
+            // exactly 1.0, which IEEE multiplication leaves bit-identical.
+            write: write * self.write_factor(t),
+        }
+    }
+}
+
+/// One task's replica group with its fixed per-attempt costs.
+struct Group<'g> {
+    procs: &'g [Processor],
+    set: &'g [usize],
+    w: f64,
+    write: f64,
+}
+
+impl Group<'_> {
+    /// `(q_pool, q, M)` of an attempt with rework `wk` and recovery `rk`:
+    /// the pool-order group-failure product of property A, then the
+    /// sorted-order statistics of the assembly — the same probability
+    /// accumulated in two orders that differ in their float rounding.
+    fn stats(&self, wk: f64, rk: f64) -> (f64, f64, f64) {
+        let mut buf = [NO_REPLICA; GROUP_CAP];
+        for (slot, &p) in buf.iter_mut().zip(self.set) {
+            let p = &self.procs[p];
+            // Rework and work scale by speed, recovery reads by read
+            // bandwidth (`rk` is storage-priced already), the checkpoint
+            // write by write bandwidth.
+            *slot = Replica {
+                lambda: p.lambda,
+                d: (wk + self.w) / p.speed + rk / p.read_bw + self.write / p.write_bw,
+            };
+        }
+        let reps = &mut buf[..self.set.len()];
+        let q_pool = group_fail_prob(reps);
+        let (q, mean) = attempt_stats(reps);
+        (q_pool, q, mean)
+    }
+}
+
+/// "Nothing stale" in [`ReplicatedScratch::stats_from`].
+const CLEAN: usize = usize::MAX;
+
+/// Start of row `i` in a lower-triangular matrix stored row by row (row
+/// `i` holds columns `0..=i`).
+fn tri(i: usize) -> usize {
+    i * (i + 1) / 2
+}
+
+/// Per-worker state of the compiled replication-aware evaluation of one
+/// [`EvalPlan`], holding the last candidate's matrices and what has gone
+/// stale since. Every matrix is lower-triangular over rows `0..=n`, entry
+/// `(i, k)` at `tri(i) + k`.
+struct ReplicatedScratch {
+    /// Checkpoint flags of the last evaluated candidate, by position.
+    ckpt: Vec<bool>,
+    /// Storage-priced recovery cost of each position's task.
+    r: Vec<f64>,
+    /// `W^i_k` and `R^i_k`; column 0 stays 0, the content of a block no
+    /// fault has hit yet.
+    w_mat: Vec<f64>,
+    r_mat: Vec<f64>,
+    /// Attempt statistics of block `i` with content `(W^i_k, R^i_k)`:
+    /// pool-order `q` (property A) and sorted-order `(q, M)`.
+    q_pool: Vec<f64>,
+    q: Vec<f64>,
+    mean: Vec<f64>,
+    /// `P(Z^i_k)` for `0 ≤ k < i`.
+    pz: Vec<f64>,
+    /// `E[X_i]`, and the running makespan and group-failure count after
+    /// row `i`.
+    ex: Vec<f64>,
+    total: Vec<f64>,
+    faults: Vec<f64>,
+    mark: Vec<u32>,
+    stack: Vec<u32>,
+    /// Stale state: lost-set columns `k ≥ col_from`, stats row `i` from
+    /// column `stats_from[i]` on ([`CLEAN`]: none), assembly rows
+    /// `i ≥ asm_from`.
+    col_from: usize,
+    stats_from: Vec<usize>,
+    asm_from: usize,
+}
+
+impl ReplicatedScratch {
+    /// A scratch with every buffer allocated and everything stale.
+    fn new(plan: &EvalPlan, pricing: &Pricing) -> Self {
+        let n = plan.n();
+        let mut r = vec![0.0f64; n + 1];
+        for (idx, &t) in plan.order().iter().enumerate() {
+            r[idx + 1] = pricing.wf.recovery_cost(t);
+        }
+        let triangle = || vec![0.0f64; tri(n + 1)];
+        let mut pz = triangle();
+        if n > 0 {
+            // Row 1: no fault can precede the first task.
+            pz[tri(1)] = 1.0;
+        }
+        ReplicatedScratch {
+            ckpt: vec![false; n + 1],
+            r,
+            w_mat: triangle(),
+            r_mat: triangle(),
+            q_pool: triangle(),
+            q: triangle(),
+            mean: triangle(),
+            pz,
+            ex: vec![0.0f64; n + 1],
+            total: vec![0.0f64; n + 1],
+            faults: vec![0.0f64; n + 1],
+            mark: vec![0u32; n + 1],
+            stack: Vec::with_capacity(n + 1),
+            col_from: 1,
+            stats_from: vec![0; n + 1],
+            asm_from: 1,
+        }
+    }
+
+    fn n(&self) -> usize {
+        self.ckpt.len() - 1
+    }
+
+    /// The task at position `p` runs on another replica set: its stats row
+    /// and the assembly from row `p` on are stale.
+    fn replicas_changed(&mut self, p: usize) {
+        self.stats_from[p] = 0;
+        self.asm_from = self.asm_from.min(p);
+    }
+
+    /// The task at position `p` writes its checkpoint to another tier, so
+    /// its recovery cost becomes `r`: that cost enters lost-set columns
+    /// `k > p`, and its write factor prices stats row `p`.
+    fn tier_changed(&mut self, p: usize, r: f64) {
+        self.r[p] = r;
+        self.col_from = self.col_from.min(p + 1);
+        self.stats_from[p] = 0;
+        for from in &mut self.stats_from[p + 1..] {
+            *from = (*from).min(p + 1);
+        }
+        self.asm_from = self.asm_from.min(p);
+    }
+
+    /// Expected makespan of the candidate with checkpoint flags `flags`
+    /// (by 0-based position), recomputing only what went stale.
+    fn expected_makespan(&mut self, plan: &EvalPlan, pricing: &Pricing, flags: &[bool]) -> f64 {
+        let n = self.n();
+        assert_eq!(flags.len(), n, "one flag per position");
+        if let Some(p) = (1..=n).find(|&i| flags[i - 1] != self.ckpt[i]) {
+            // Columns `k ≤ p` only read flags of positions `< p`; a block
+            // whose own flag flipped needs its whole stats row.
+            self.col_from = self.col_from.min(p + 1);
+            self.asm_from = self.asm_from.min(p);
+            for i in p..=n {
+                let from = if flags[i - 1] != self.ckpt[i] {
+                    0
+                } else {
+                    p + 1
+                };
+                self.stats_from[i] = self.stats_from[i].min(from);
+                self.ckpt[i] = flags[i - 1];
+            }
+        }
+        if self.asm_from <= n {
+            let (w_mat, r_mat) = (&mut self.w_mat, &mut self.r_mat);
+            lost_set_columns(
+                plan,
+                &self.r,
+                &self.ckpt,
+                self.col_from,
+                &mut self.mark,
+                &mut self.stack,
+                |i, k, wi, ri| {
+                    w_mat[tri(i) + k] = wi;
+                    r_mat[tri(i) + k] = ri;
+                },
+            );
+            self.col_from = n + 1;
+            let downtime = pricing.platform.downtime();
+            for i in self.asm_from..=n {
+                if self.stats_from[i] != CLEAN {
+                    self.stats_row(plan, pricing, i);
+                }
+                self.assemble_row(i, downtime);
+            }
+            self.asm_from = n + 1;
+        }
+        self.total[n]
+    }
+
+    /// Recomputes the stale part of stats row `i`, sharing one attempt
+    /// computation across each run of bitwise-equal `(W, R)` pairs.
+    fn stats_row(&mut self, plan: &EvalPlan, pricing: &Pricing, i: usize) {
+        let row = tri(i);
+        let from = std::mem::replace(&mut self.stats_from[i], CLEAN);
+        let group = pricing.group(
+            plan.order()[i - 1].index(),
+            self.ckpt[i],
+            plan.w[i],
+            plan.c[i],
+        );
+        let bits = |m: &[f64], at: usize| m[at].to_bits();
+        // The run continues from the clean column before `from`; at
+        // column 0 the key is one no pair matches.
+        let (mut key, mut stats) = if from == 0 {
+            ((!bits(&self.w_mat, row), 0), (0.0, 0.0, 0.0))
         } else {
-            0.0
+            let at = row + from - 1;
+            (
+                (bits(&self.w_mat, at), bits(&self.r_mat, at)),
+                (self.q_pool[at], self.q[at], self.mean[at]),
+            )
         };
-        let procs = self.platform.procs();
-        // The tier's write factor composes multiplicatively with the
-        // per-processor bandwidth factor; without a hierarchy it is
-        // exactly 1.0, which IEEE multiplication leaves bit-identical.
-        // Recovery reads need no factor here — `rk` comes from the
-        // storage-priced workflow's recovery costs.
-        let w_fac = self.write_factor(t);
-        self.sets[t]
-            .iter()
-            .map(|&p| {
-                let p = &procs[p];
-                Replica {
-                    lambda: p.lambda,
-                    d: (wk + w) / p.speed + rk / p.read_bw + write * w_fac / p.write_bw,
-                }
-            })
-            .collect()
+        for at in row + from..=row + i {
+            let pair = (bits(&self.w_mat, at), bits(&self.r_mat, at));
+            if pair != key {
+                key = pair;
+                stats = group.stats(self.w_mat[at], self.r_mat[at]);
+            }
+            (self.q_pool[at], self.q[at], self.mean[at]) = stats;
+        }
     }
 
-    /// The pool-order group-failure probability of task `t`'s block with
-    /// content `(ckpt, wk, rk)` — the property-A factor. `O(r)`; never
-    /// triggers the `2^r` closed form.
-    fn q_pool(&self, t: usize, ckpt: bool, wk: f64, rk: f64) -> f64 {
-        let key: AttemptKey = (t as u32, ckpt, wk.to_bits(), rk.to_bits());
-        if self.memoize {
-            if let Some(e) = self.memo.read().expect("memo lock").get(&key) {
-                return e.q_pool;
-            }
-        }
-        let q_pool = group_fail_prob(&self.replicas(t, ckpt, wk, rk));
-        if self.memoize {
-            self.memo
-                .write()
-                .expect("memo lock")
-                .entry(key)
-                .or_insert(AttemptEntry { q_pool, full: None });
-        }
-        q_pool
-    }
-
-    /// The sorted-order `(q, M)` attempt statistics of task `t`'s block —
-    /// the `2^r` closed form, through the cache when memoization is on. On
-    /// a miss the value is computed by the exact same `attempt_stats` call
-    /// the uncached path makes — bit-identical.
-    fn full_stats(&self, t: usize, ckpt: bool, wk: f64, rk: f64) -> (f64, f64) {
-        let key: AttemptKey = (t as u32, ckpt, wk.to_bits(), rk.to_bits());
-        if self.memoize {
-            if let Some(e) = self.memo.read().expect("memo lock").get(&key) {
-                if let Some(full) = e.full {
-                    return full;
-                }
-            }
-        }
-        let mut reps = self.replicas(t, ckpt, wk, rk);
-        // Pool-order product before `attempt_stats` sorts the replicas —
-        // the two accumulation orders differ in their float rounding.
-        let q_pool = group_fail_prob(&reps);
-        let full = attempt_stats(&mut reps);
-        if self.memoize {
-            let mut memo = self.memo.write().expect("memo lock");
-            match memo.get_mut(&key) {
-                Some(e) => e.full = Some(full),
-                None => {
-                    memo.insert(
-                        key,
-                        AttemptEntry {
-                            q_pool,
-                            full: Some(full),
-                        },
-                    );
-                }
-            }
-        }
-        full
-    }
-
-    /// Expected makespan of `schedule` (see [`Self::evaluate`]).
-    pub fn expected_makespan(&self, schedule: &Schedule) -> f64 {
-        self.evaluate(schedule).expected_makespan
-    }
-
-    /// Full replication-aware evaluation (Theorem 3 generalized to replica
-    /// groups — see the module docs). `expected_faults` counts **group
-    /// failures** (memory wipes), the event the Monte-Carlo engines report
-    /// as `n_faults`.
-    pub fn evaluate(&self, schedule: &Schedule) -> EvalReport {
-        let wf = self.wf.as_ref();
-        let n = wf.n_tasks();
-        if self.is_degenerate() {
-            // Bit-for-bit reproduction of the homogeneous evaluator.
-            return evaluator::evaluate(wf, self.platform.fault_model(), schedule);
-        }
-        if n == 0 {
-            return EvalReport {
-                expected_makespan: 0.0,
-                per_position: Vec::new(),
-                expected_faults: 0.0,
-            };
-        }
-
-        let m = RecoveryMatrices::compute(wf, schedule);
-        let order = schedule.order();
-        let downtime = self.platform.downtime();
-
-        // Per-position views (1-based positions, index 0 unused).
-        let mut ckpt = vec![false; n + 1];
-        let mut task = vec![0usize; n + 1];
-        for (idx, &t) in order.iter().enumerate() {
-            let i = idx + 1;
-            ckpt[i] = schedule.is_checkpointed(t);
-            task[i] = t.index();
-        }
-
-        // Block content of position `j` given the last wipe was in `k`
-        // (0 = no wipe yet): `(rework, recovery)`.
-        let content = |j: usize, k: usize| -> (f64, f64) {
-            if k == 0 {
-                (0.0, 0.0)
-            } else {
-                m.get(j, k)
-            }
+    /// Assembly row `i`: `E[X_i]` by the first-attempt/retry recursion,
+    /// the running totals, and — for `i < n` — the next row `P(Z^{i+1}_k)`.
+    fn assemble_row(&mut self, i: usize, downtime: f64) {
+        let n = self.n();
+        let row = tri(i);
+        // Retry attempts always pay the full-closure recovery `b`.
+        let (q_b, mean_b) = (self.q[row + i], self.mean[row + i]);
+        let e_retry = if q_b >= 1.0 {
+            f64::INFINITY
+        } else {
+            (mean_b + q_b * downtime) / (1.0 - q_b)
         };
-        // Property-A factor (O(r)) and assembly statistics (2^r closed
-        // form) of that block — split so the probability row never pays
-        // the inclusion–exclusion.
-        let q_pool_of = |j: usize, k: usize| -> f64 {
-            let (wk, rk) = content(j, k);
-            self.q_pool(task[j], ckpt[j], wk, rk)
-        };
-        let stats_of = |j: usize, k: usize| -> (f64, f64) {
-            let (wk, rk) = content(j, k);
-            self.full_stats(task[j], ckpt[j], wk, rk)
-        };
-
-        // Rolling row of P(Z^i_k), updated in place as i advances.
-        let mut pz = vec![0.0f64; n + 1];
-        let mut per_position = Vec::with_capacity(n);
-        let mut total = 0.0f64;
-        let mut faults = 0.0f64;
-
-        for i in 1..=n {
-            if i == 1 {
-                pz[0] = 1.0;
-            } else {
-                // Property A: survive block i−1 without a group failure.
-                let mut sum = 0.0f64;
-                for (k, p) in pz.iter_mut().enumerate().take(i - 1) {
-                    *p *= 1.0 - q_pool_of(i - 1, k);
-                    sum += *p;
-                }
-                pz[i - 1] = (1.0 - sum).clamp(0.0, 1.0);
-            }
-
-            // Retry attempts always pay the full-closure recovery `b`.
-            let (q_b, mean_b) = stats_of(i, i);
-            let e_retry = if q_b >= 1.0 {
-                f64::INFINITY
-            } else {
-                (mean_b + q_b * downtime) / (1.0 - q_b)
-            };
-
-            let mut exi = 0.0f64;
-            for (k, &p) in pz.iter().enumerate().take(i) {
-                if p == 0.0 {
-                    continue;
-                }
-                let (q_a, mean_a) = stats_of(i, k);
+        let (cur, next) = self.pz.split_at_mut(tri(i + 1));
+        let cur = &cur[row..row + i];
+        let has_next = i < n;
+        let mut exi = 0.0f64;
+        let mut faults = self.faults[i - 1];
+        let mut sum = 0.0f64;
+        for k in 0..i {
+            let p = cur[k];
+            if p != 0.0 {
+                let (q_a, mean_a) = (self.q[row + k], self.mean[row + k]);
                 exi += p * (mean_a + q_a * (downtime + e_retry));
                 faults += p * if q_b >= 1.0 {
                     if q_a > 0.0 {
@@ -619,15 +609,217 @@ impl<'a> ReplicatedEvaluator<'a> {
                     q_a / (1.0 - q_b)
                 };
             }
-            per_position.push(exi);
-            total += exi;
+            if has_next {
+                // Property A: survive block `i` without a group failure.
+                let q = p * (1.0 - self.q_pool[row + k]);
+                next[k] = q;
+                sum += q;
+            }
         }
+        if has_next {
+            // Property B; clamp against floating-point drift.
+            next[i] = (1.0 - sum).clamp(0.0, 1.0);
+        }
+        self.ex[i] = exi;
+        self.total[i] = self.total[i - 1] + exi;
+        self.faults[i] = faults;
+    }
 
-        EvalReport {
-            expected_makespan: total,
-            per_position,
-            expected_faults: faults,
+    fn report(&self) -> EvalReport {
+        report_of(&self.ex, &self.total, &self.faults)
+    }
+}
+
+impl<'a> ReplicatedEvaluator<'a> {
+    fn with_sets(
+        wf: &'a Workflow,
+        platform: &'a HeteroPlatform,
+        mut sets: Vec<Vec<usize>>,
+    ) -> Self {
+        // Every set buffer (and the spare `set_replicas` swaps with) holds
+        // a whole pool, so replica moves never allocate.
+        let n_procs = platform.n_procs();
+        for set in &mut sets {
+            set.reserve(n_procs.saturating_sub(set.len()));
         }
+        ReplicatedEvaluator {
+            pricing: Pricing {
+                wf: Cow::Borrowed(wf),
+                base: wf,
+                platform,
+                sets,
+                storage: None,
+            },
+            resumed: None,
+            spare: Vec::with_capacity(n_procs),
+        }
+    }
+
+    /// Evaluator over explicit per-task replica sets (processor indices
+    /// into `platform.procs()`, one set per task id). Sets are normalized
+    /// with [`normalize_replica_set`].
+    pub fn from_sets(wf: &'a Workflow, platform: &'a HeteroPlatform, sets: &[Vec<usize>]) -> Self {
+        assert_eq!(sets.len(), wf.n_tasks(), "one replica set per task");
+        let n_procs = platform.n_procs();
+        let sets = sets
+            .iter()
+            .map(|s| normalize_replica_set(s, n_procs))
+            .collect();
+        Self::with_sets(wf, platform, sets)
+    }
+
+    /// Evaluator over fastest-first prefix sets of the given degrees (the
+    /// historical [`crate::ReplicationStrategy`] shape).
+    pub fn from_degrees(wf: &'a Workflow, platform: &'a HeteroPlatform, degrees: &[usize]) -> Self {
+        assert_eq!(
+            degrees.len(),
+            wf.n_tasks(),
+            "one replication degree per task"
+        );
+        let n_procs = platform.n_procs().max(1);
+        let sets = degrees
+            .iter()
+            .map(|&d| (0..d.clamp(1, n_procs)).collect())
+            .collect();
+        Self::with_sets(wf, platform, sets)
+    }
+
+    /// The normalized per-task replica sets.
+    pub fn sets(&self) -> &[Vec<usize>] {
+        &self.pricing.sets
+    }
+
+    /// Attaches a checkpoint storage hierarchy and a per-task tier
+    /// assignment: task `t` writes its checkpoint to
+    /// `hierarchy.tiers()[tiers[t]]`, so its checkpoint cost is priced at
+    /// that tier's write factor (including replica-write contention) and
+    /// every later recovery *read of that checkpoint* at its read factor
+    /// (per-source pricing — the image is read back from the tier it was
+    /// written to). Tier indices are clamped into the hierarchy. A unit
+    /// hierarchy scales every cost by exactly `1.0`, so results stay
+    /// bit-identical to the scalar cost model.
+    pub fn with_storage(mut self, hierarchy: &'a StorageHierarchy, tiers: &[usize]) -> Self {
+        let p = &mut self.pricing;
+        let n = p.base.n_tasks();
+        assert_eq!(tiers.len(), n, "one storage tier per task");
+        let cap = hierarchy.n_tiers() - 1;
+        let tiers: Vec<usize> = tiers.iter().map(|&t| t.min(cap)).collect();
+        let rec_scale: Vec<f64> = (0..n)
+            .map(|t| hierarchy.tiers()[tiers[t]].read_factor())
+            .collect();
+        p.wf = Cow::Owned(p.base.with_scaled_costs(&vec![1.0; n], &rec_scale));
+        p.storage = Some(StorageAssignment { hierarchy, tiers });
+        self.resumed = None;
+        self
+    }
+
+    /// The per-task tier assignment, if a storage hierarchy is attached.
+    pub fn tiers(&self) -> Option<&[usize]> {
+        self.pricing.storage.as_ref().map(|s| s.tiers.as_slice())
+    }
+
+    /// Moves task `t`'s checkpoint to `tier` — the storage analogue of
+    /// [`Self::set_replicas`]; the next [`Self::expected_makespan`]
+    /// recomputes only what the move invalidates.
+    ///
+    /// # Panics
+    ///
+    /// If no hierarchy is attached ([`Self::with_storage`]) or `tier` is
+    /// out of range.
+    pub fn set_tier(&mut self, task: usize, tier: usize) {
+        let p = &mut self.pricing;
+        let s = p.storage.as_mut().expect("set_tier requires with_storage");
+        assert!(tier < s.hierarchy.n_tiers(), "tier {tier} out of range");
+        if s.tiers[task] == tier {
+            return;
+        }
+        s.tiers[task] = tier;
+        let id = NodeId::from(task);
+        let cost = p.base.recovery_cost(id) * s.hierarchy.tiers()[tier].read_factor();
+        p.wf.to_mut().set_recovery_cost(id, cost);
+        if let Some(res) = &mut self.resumed {
+            res.scratch.tier_changed(res.plan.position(task), cost);
+        }
+    }
+
+    /// Replaces task `t`'s replica set (normalized); the next
+    /// [`Self::expected_makespan`] recomputes one stats row and the
+    /// assembly from the task's position on.
+    pub fn set_replicas(&mut self, task: usize, set: &[usize]) {
+        normalize_into(set, self.pricing.platform.n_procs(), &mut self.spare);
+        if self.spare == self.pricing.sets[task] {
+            return;
+        }
+        std::mem::swap(&mut self.spare, &mut self.pricing.sets[task]);
+        if let Some(res) = &mut self.resumed {
+            res.scratch.replicas_changed(res.plan.position(task));
+        }
+    }
+
+    /// Expected makespan of `schedule`, resumed from the previous call:
+    /// only what the checkpoint flags, replica and tier moves since then
+    /// invalidate is recomputed (a new linearization compiles a new
+    /// plan). Bit-identical to [`Self::evaluate`].
+    pub fn expected_makespan(&mut self, schedule: &Schedule) -> f64 {
+        let pricing = &self.pricing;
+        if pricing.is_degenerate() {
+            // Bit-for-bit reproduction of the homogeneous evaluator.
+            return evaluator::expected_makespan(
+                &pricing.wf,
+                pricing.platform.fault_model(),
+                schedule,
+            );
+        }
+        if self
+            .resumed
+            .as_ref()
+            .is_none_or(|res| res.plan.order() != schedule.order())
+        {
+            let plan = EvalPlan::new(pricing.base, schedule.order());
+            let scratch = ReplicatedScratch::new(&plan, pricing);
+            self.resumed = Some(Resumed {
+                plan,
+                scratch,
+                flags: Vec::new(),
+            });
+        }
+        let res = self.resumed.as_mut().expect("compiled above");
+        checkpoint_flags_into(schedule, &mut res.flags);
+        res.scratch
+            .expected_makespan(&res.plan, pricing, &res.flags)
+    }
+
+    /// Full replication-aware evaluation (Theorem 3 generalized to replica
+    /// groups — see the module docs) on a freshly compiled scratch.
+    /// `expected_faults` counts **group failures** (memory wipes), the
+    /// event the Monte-Carlo engines report as `n_faults`.
+    pub fn evaluate(&self, schedule: &Schedule) -> EvalReport {
+        let pricing = &self.pricing;
+        if pricing.is_degenerate() {
+            // Bit-for-bit reproduction of the homogeneous evaluator.
+            return evaluator::evaluate(&pricing.wf, pricing.platform.fault_model(), schedule);
+        }
+        let plan = EvalPlan::new(pricing.base, schedule.order());
+        let mut flags = Vec::new();
+        checkpoint_flags_into(schedule, &mut flags);
+        let mut scratch = ReplicatedScratch::new(&plan, pricing);
+        scratch.expected_makespan(&plan, pricing, &flags);
+        scratch.report()
+    }
+
+    /// One resumable candidate evaluator over `plan` (compiled from this
+    /// evaluator's workflow), for one sweep worker: what
+    /// [`crate::Objective::flag_evaluator`] returns for this backend.
+    pub(crate) fn compiled_evaluator<'s>(&'s self, plan: &'s EvalPlan) -> FlagEvaluator<'s> {
+        let pricing = &self.pricing;
+        if pricing.is_degenerate() {
+            // Unit tiers leave the recovery costs bit-identical to the
+            // plan's, so the homogeneous scratch is the delegation.
+            let mut scratch = EvalScratch::new(plan, pricing.platform.fault_model());
+            return Box::new(move |flags: &[bool]| scratch.expected_makespan(flags));
+        }
+        let mut scratch = ReplicatedScratch::new(plan, pricing);
+        Box::new(move |flags: &[bool]| scratch.expected_makespan(plan, pricing, flags))
     }
 }
 
@@ -681,15 +873,132 @@ pub fn evaluate_replicated_sets(
     ReplicatedEvaluator::from_sets(wf, platform, sets).evaluate(schedule)
 }
 
+/// The reference oracle the compiled path is pinned against: the
+/// uncached arithmetic — dense [`RecoveryMatrices`], then fresh attempt
+/// statistics for every `(i, k)` pair, with no reuse and no resume.
+///
+/// [`RecoveryMatrices`]: crate::evaluator::recovery::RecoveryMatrices
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::ReplicatedEvaluator;
+    use crate::evaluator::{assemble, recovery::RecoveryMatrices, EvalReport};
+    use crate::schedule::Schedule;
+
+    /// `ev`'s current assignment evaluated on `schedule` by the reference
+    /// arithmetic (the homogeneous reference assembly when `ev`
+    /// delegates).
+    pub(crate) fn evaluate(ev: &ReplicatedEvaluator, schedule: &Schedule) -> EvalReport {
+        let pricing = &ev.pricing;
+        let wf = pricing.wf.as_ref();
+        let m = RecoveryMatrices::compute(wf, schedule);
+        if pricing.is_degenerate() {
+            return assemble(wf, pricing.platform.fault_model(), schedule, &m);
+        }
+        let n = wf.n_tasks();
+        let downtime = pricing.platform.downtime();
+        let order = schedule.order();
+        // Attempt statistics of position `j`'s block given the last wipe
+        // was in `k` (0 = no wipe yet): `(q_pool, q, M)`.
+        let stats_of = |j: usize, k: usize| -> (f64, f64, f64) {
+            let t = order[j - 1];
+            let (wk, rk) = if k == 0 { (0.0, 0.0) } else { m.get(j, k) };
+            pricing
+                .group(
+                    t.index(),
+                    schedule.is_checkpointed(t),
+                    wf.work(t),
+                    wf.checkpoint_cost(t),
+                )
+                .stats(wk, rk)
+        };
+
+        // Rolling row of P(Z^i_k), updated in place as i advances.
+        let mut pz = vec![0.0f64; n + 1];
+        let mut per_position = Vec::with_capacity(n);
+        let mut total = 0.0f64;
+        let mut faults = 0.0f64;
+        for i in 1..=n {
+            if i == 1 {
+                pz[0] = 1.0;
+            } else {
+                // Property A: survive block i−1 without a group failure.
+                let mut sum = 0.0f64;
+                for (k, p) in pz.iter_mut().enumerate().take(i - 1) {
+                    *p *= 1.0 - stats_of(i - 1, k).0;
+                    sum += *p;
+                }
+                pz[i - 1] = (1.0 - sum).clamp(0.0, 1.0);
+            }
+            // Retry attempts always pay the full-closure recovery `b`.
+            let (_, q_b, mean_b) = stats_of(i, i);
+            let e_retry = if q_b >= 1.0 {
+                f64::INFINITY
+            } else {
+                (mean_b + q_b * downtime) / (1.0 - q_b)
+            };
+            let mut exi = 0.0f64;
+            for (k, &p) in pz.iter().enumerate().take(i) {
+                if p == 0.0 {
+                    continue;
+                }
+                let (_, q_a, mean_a) = stats_of(i, k);
+                exi += p * (mean_a + q_a * (downtime + e_retry));
+                faults += p * if q_b >= 1.0 {
+                    if q_a > 0.0 {
+                        f64::INFINITY
+                    } else {
+                        0.0
+                    }
+                } else {
+                    q_a / (1.0 - q_b)
+                };
+            }
+            per_position.push(exi);
+            total += exi;
+        }
+        EvalReport {
+            expected_makespan: total,
+            per_position,
+            expected_faults: faults,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::test_support::{assert_bitwise, random_instance, sequences};
     use crate::model::{CostRule, TaskCosts};
     use crate::strategies::ReplicationStrategy;
     use dagchkpt_dag::{generators, topo, FixedBitSet, NodeId};
-    use dagchkpt_failure::{FaultModel, Processor};
+    use dagchkpt_failure::{FaultModel, Processor, StorageTier};
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// [`ReplicatedEvaluator::expected_makespan`] plus the full report of
+    /// the state it resumed (or of the delegation), pinned to each other.
+    fn resumed(ev: &mut ReplicatedEvaluator, s: &Schedule) -> EvalReport {
+        let e = ev.expected_makespan(s);
+        let report = if ev.pricing.is_degenerate() {
+            let fm = ev.pricing.platform.fault_model();
+            evaluator::evaluate(&ev.pricing.wf, fm, s)
+        } else {
+            ev.resumed.as_ref().expect("resumed state").scratch.report()
+        };
+        assert_eq!(e.to_bits(), report.expected_makespan.to_bits());
+        report
+    }
+
+    /// The resumed report equals the oracle's (and a fresh evaluation's)
+    /// bit for bit.
+    fn check_resumed(ev: &mut ReplicatedEvaluator, s: &Schedule, what: &str) -> EvalReport {
+        let got = resumed(ev, s);
+        let want = oracle::evaluate(ev, s);
+        assert_bitwise(&got, &want, what);
+        assert_bitwise(&ev.evaluate(s), &want, what);
+        want
+    }
 
     fn single(lambda: f64, downtime: f64) -> HeteroPlatform {
         HeteroPlatform::homogeneous(1, lambda, downtime).unwrap()
@@ -956,11 +1265,11 @@ mod tests {
         }
     }
 
-    /// Memoized and naive evaluations are bit-identical, across many
-    /// candidate schedules sharing one cache — the correctness half of the
-    /// `optimizer/sweep_memoized` bench.
+    /// One evaluator resumed across a budget sweep's candidates equals the
+    /// reference oracle bit for bit at every budget, and a repeated
+    /// candidate recomputes nothing.
     #[test]
-    fn memoized_evaluation_is_bit_identical_to_naive() {
+    fn resumed_evaluation_is_bit_identical_to_the_oracle() {
         let (wf, _) = fig1_schedule();
         let order = topo::topological_order(wf.dag());
         let platform = HeteroPlatform::new(
@@ -975,25 +1284,20 @@ mod tests {
         )
         .unwrap();
         let degrees = vec![2usize; 8];
-        let memo = ReplicatedEvaluator::from_degrees(&wf, &platform, &degrees);
-        let naive =
-            ReplicatedEvaluator::from_degrees(&wf, &platform, &degrees).with_memoization(false);
+        let mut ev = ReplicatedEvaluator::from_degrees(&wf, &platform, &degrees);
         let base = Schedule::never(&wf, order).unwrap();
         for n_ckpt in 0..=8usize {
             let set = FixedBitSet::from_indices(8, 0..n_ckpt);
             let s = base.with_checkpoints(set);
-            let a = memo.evaluate(&s);
-            let b = naive.evaluate(&s);
-            assert_eq!(
-                a.expected_makespan.to_bits(),
-                b.expected_makespan.to_bits(),
-                "budget {n_ckpt}"
-            );
-            assert_eq!(a.expected_faults.to_bits(), b.expected_faults.to_bits());
+            check_resumed(&mut ev, &s, &format!("budget {n_ckpt}"));
         }
-        // The cache actually filled (and the naive one stayed empty).
-        assert!(memo.cached_entries() > 0);
-        assert_eq!(naive.cached_entries(), 0);
+        // The state is resumed, not rebuilt: a repeat leaves nothing stale.
+        let s = base.with_checkpoints(FixedBitSet::from_indices(8, 0..3));
+        check_resumed(&mut ev, &s, "budget 3");
+        check_resumed(&mut ev, &s, "budget 3 again");
+        let scratch = &ev.resumed.as_ref().unwrap().scratch;
+        assert!(scratch.asm_from > 8 && scratch.col_from > 8);
+        assert!(scratch.stats_from[1..].iter().all(|&f| f == CLEAN));
     }
 
     /// A non-prefix replica set is a genuinely different (and sometimes
@@ -1034,10 +1338,11 @@ mod tests {
         );
     }
 
-    /// `set_replicas` invalidates only the changed task's cache entries and
-    /// subsequent evaluations match a fresh evaluator bit for bit.
+    /// `set_replicas` marks only the moved task's stats row stale, and
+    /// the resumed evaluation matches a fresh evaluator and the oracle bit
+    /// for bit.
     #[test]
-    fn set_replicas_invalidates_cache_correctly() {
+    fn set_replicas_resumes_bit_identically() {
         let (wf, s) = fig1_schedule();
         let platform = HeteroPlatform::new(
             vec![
@@ -1051,16 +1356,20 @@ mod tests {
         )
         .unwrap();
         let mut ev = ReplicatedEvaluator::from_degrees(&wf, &platform, &[2; 8]);
-        let _ = ev.evaluate(&s);
+        check_resumed(&mut ev, &s, "before");
         ev.set_replicas(3, &[1]);
-        let via_mutation = ev.evaluate(&s);
+        let p = s.order().iter().position(|t| t.index() == 3).unwrap() + 1;
+        let scratch = &ev.resumed.as_ref().unwrap().scratch;
+        assert_eq!(scratch.asm_from, p);
+        assert_eq!(scratch.col_from, 9, "a replica move leaves the columns");
+        for (i, &from) in scratch.stats_from.iter().enumerate().skip(1) {
+            assert_eq!(from == CLEAN, i != p, "stats row {i}");
+        }
+        let via_mutation = check_resumed(&mut ev, &s, "after");
         let mut sets = vec![vec![0usize, 1]; 8];
         sets[3] = vec![1];
         let fresh = evaluate_replicated_sets(&wf, &platform, &s, &sets);
-        assert_eq!(
-            via_mutation.expected_makespan.to_bits(),
-            fresh.expected_makespan.to_bits()
-        );
+        assert_bitwise(&via_mutation, &fresh, "fresh sets");
     }
 
     /// A unit storage hierarchy (bandwidths 1, compression 1, no
@@ -1170,10 +1479,10 @@ mod tests {
     }
 
     /// Replica-write contention: the same tier prices a wider replica set
-    /// with a strictly larger write factor, and `set_tier` invalidates
-    /// the cache exactly like `set_replicas`.
+    /// with a strictly larger write factor, and a resumed evaluation after
+    /// `set_tier` matches a fresh evaluator bit for bit.
     #[test]
-    fn contention_and_set_tier_cache_invalidation() {
+    fn contention_and_set_tier_resume() {
         use dagchkpt_failure::{StorageHierarchy, StorageTier};
         let (wf, s) = fig1_schedule();
         let platform = HeteroPlatform::homogeneous(3, 4e-3, 1.0).unwrap();
@@ -1202,9 +1511,9 @@ mod tests {
         // Mutating one task's tier matches a fresh evaluator bit for bit.
         let mut ev =
             ReplicatedEvaluator::from_degrees(&wf, &platform, &[2; 8]).with_storage(&h, &[0; 8]);
-        let _ = ev.evaluate(&s);
+        check_resumed(&mut ev, &s, "before");
         ev.set_tier(3, 1);
-        let via_mutation = ev.evaluate(&s);
+        let via_mutation = check_resumed(&mut ev, &s, "after");
         let mut tiers = vec![0usize; 8];
         tiers[3] = 1;
         let fresh = ReplicatedEvaluator::from_degrees(&wf, &platform, &[2; 8])
@@ -1215,6 +1524,166 @@ mod tests {
             fresh.expected_makespan.to_bits()
         );
         assert_eq!(ev.tiers(), Some(&tiers[..]));
+    }
+
+    /// Random platform: 1–4 processors with independent speeds, rates
+    /// (sometimes exactly 0 — the `q == 0` branch) and bandwidths; one
+    /// case in six is the degenerate reference machine.
+    fn random_platform(rng: &mut SmallRng) -> HeteroPlatform {
+        let lambda = rng.gen_range(1e-3..2e-2);
+        if rng.gen_bool(1.0 / 6.0) {
+            return single(lambda, rng.gen_range(0.0..2.0));
+        }
+        let procs = (0..rng.gen_range(1..=4usize))
+            .map(|_| Processor {
+                speed: rng.gen_range(0.5..2.0),
+                read_bw: if rng.gen_bool(0.3) { 0.5 } else { 1.0 },
+                write_bw: if rng.gen_bool(0.3) { 2.0 } else { 1.0 },
+                ..Processor::reference(if rng.gen_bool(0.15) {
+                    0.0
+                } else {
+                    lambda * rng.gen_range(0.25..6.0)
+                })
+            })
+            .collect();
+        HeteroPlatform::new(procs, rng.gen_range(0.0..2.0)).unwrap()
+    }
+
+    /// A random non-empty subset of `p` processors.
+    fn random_set(rng: &mut SmallRng, p: usize) -> Vec<usize> {
+        (0..p).filter(|_| rng.gen_bool(0.5)).collect()
+    }
+
+    fn hierarchy(kind: u8) -> Option<StorageHierarchy> {
+        let tier = |name: &str, write_bw, read_bw, contention| StorageTier {
+            name: name.to_string(),
+            write_bw,
+            read_bw,
+            compression: 1.0,
+            contention,
+        };
+        match kind {
+            0 => None,
+            1 => Some(
+                StorageHierarchy::new(vec![StorageTier::unit("a"), StorageTier::unit("b")])
+                    .unwrap(),
+            ),
+            _ => Some(
+                StorageHierarchy::new(vec![
+                    StorageTier::unit("ref"),
+                    tier("wfast", 4.0, 0.25, 0.5),
+                    tier("rfast", 0.5, 3.0, 0.0),
+                ])
+                .unwrap(),
+            ),
+        }
+    }
+
+    /// Candidate sequences of both kinds of state the compiled path has —
+    /// one sweep worker's scratch, and the evaluator's own scratch under
+    /// interleaved replica and tier moves across two linearizations —
+    /// each pinned to the oracle bitwise on the full report.
+    fn check_against_oracle(seed: u64, n: usize, storage: u8) {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x0AC1E);
+        let (wf, order) = random_instance(seed, n);
+        let other = crate::linearize::linearize(
+            &wf,
+            crate::linearize::LinearizationStrategy::RandomFirst { seed: seed + 1 },
+        );
+        let platform = random_platform(&mut rng);
+        let p = platform.n_procs();
+        let sets: Vec<Vec<usize>> = (0..n).map(|_| random_set(&mut rng, p)).collect();
+        let h = hierarchy(storage);
+        let mut ev = ReplicatedEvaluator::from_sets(&wf, &platform, &sets);
+        if let Some(h) = &h {
+            let tiers: Vec<usize> = (0..n).map(|_| rng.gen_range(0..h.n_tiers())).collect();
+            ev = ev.with_storage(h, &tiers);
+        }
+        let seqs = sequences(&mut rng, n);
+
+        // A sweep worker's scratch over a shared plan.
+        let plan = EvalPlan::new(&wf, &order);
+        let want: Vec<EvalReport> = seqs
+            .iter()
+            .map(|f| oracle::evaluate(&ev, &plan.schedule(f)))
+            .collect();
+        let mut worker = ev.compiled_evaluator(&plan);
+        for (step, (flags, want)) in seqs.iter().zip(&want).enumerate() {
+            let e = worker(flags);
+            assert_eq!(e.to_bits(), want.expected_makespan.to_bits(), "step {step}");
+        }
+        drop(worker);
+
+        // The evaluator's own scratch under moves.
+        let plans = [plan, EvalPlan::new(&wf, &other)];
+        for (step, flags) in seqs.iter().enumerate() {
+            if n > 0 {
+                for _ in 0..rng.gen_range(0..3) {
+                    let t = rng.gen_range(0..n);
+                    match (&h, rng.gen_bool(0.5)) {
+                        (Some(h), true) => ev.set_tier(t, rng.gen_range(0..h.n_tiers())),
+                        _ => ev.set_replicas(t, &random_set(&mut rng, p)),
+                    }
+                }
+            }
+            // Mostly one linearization, sometimes the other.
+            let plan = &plans[usize::from(step % 7 == 6)];
+            check_resumed(&mut ev, &plan.schedule(flags), &format!("step {step}"));
+        }
+    }
+
+    #[test]
+    fn edge_sizes_and_storage_kinds_match_the_oracle() {
+        for n in [0usize, 1, 2] {
+            for storage in 0..3 {
+                for seed in 0..6 {
+                    check_against_oracle(seed, n, storage);
+                }
+            }
+        }
+    }
+
+    /// A replica set certain to fail every attempt (`q` rounds to 1): the
+    /// makespan and fault count are infinite, identically on both paths.
+    #[test]
+    fn certain_group_failure_is_infinite_on_both_paths() {
+        let (wf, s) = fig1_schedule();
+        let platform = HeteroPlatform::homogeneous(2, 50.0, 1.0).unwrap();
+        let mut ev = ReplicatedEvaluator::from_degrees(&wf, &platform, &[2; 8]);
+        let report = check_resumed(&mut ev, &s, "q = 1");
+        assert_eq!(report.expected_makespan, f64::INFINITY);
+        assert_eq!(report.expected_faults, f64::INFINITY);
+    }
+
+    /// A non-unit tier on the degenerate machine leaves the delegation
+    /// and a unit tier returns to it; the resumed state stays exact.
+    #[test]
+    fn tier_moves_across_the_delegation_boundary() {
+        let (wf, s) = fig1_schedule();
+        let platform = single(3e-3, 1.0);
+        let h = hierarchy(2).unwrap();
+        let mut ev =
+            ReplicatedEvaluator::from_degrees(&wf, &platform, &[1; 8]).with_storage(&h, &[0; 8]);
+        assert!(ev.pricing.is_degenerate());
+        check_resumed(&mut ev, &s, "delegated");
+        ev.set_tier(2, 1);
+        assert!(!ev.pricing.is_degenerate());
+        check_resumed(&mut ev, &s, "non-unit tier");
+        ev.set_tier(2, 0);
+        check_resumed(&mut ev, &s, "delegated again");
+        ev.set_tier(5, 2);
+        check_resumed(&mut ev, &s, "other tier");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn compiled_paths_equal_the_oracle_bitwise(
+            seed in 0u64..10_000, n in 3usize..28, storage in 0u8..3,
+        ) {
+            check_against_oracle(seed, n, storage);
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   cross-validation);
 //! * [`linearize`] — the DF/BF/RF linearization strategies;
 //! * [`objective`] — pluggable optimization backends ([`Objective`]): the
-//!   homogeneous proxy, the memoized replication-aware evaluator, or a
-//!   Monte-Carlo estimator (in `dagchkpt-sim`);
+//!   homogeneous proxy, the exact replication-aware evaluator (both on
+//!   compiled, resumable scratches), or a Monte-Carlo estimator (in
+//!   `dagchkpt-sim`);
 //! * [`strategies`] — CkptNvr/CkptAlws/CkptW/CkptC/CkptD/CkptPer with the
 //!   objective-generic checkpoint-budget sweep, per-task replica
 //!   *selection* ([`select_replicas`]) and the joint coordinate descent
@@ -43,13 +44,13 @@ pub use heuristics::{
 };
 pub use linearize::{linearize, linearize_with_priority, LinearizationStrategy, Priority};
 pub use model::{CostRule, ModelError, TaskCosts, Workflow};
-pub use objective::{CostSummary, Objective, ProxyObjective};
+pub use objective::{CostSummary, FlagEvaluator, Objective, ProxyObjective};
 pub use schedule::Schedule;
 pub use strategies::{
     local_search, local_search_with, optimize_checkpoints, optimize_checkpoints_quantile,
-    optimize_checkpoints_with, optimize_joint, optimize_joint_storage, optimize_joint_with,
-    ranking, replica_candidates, replica_candidates_with, select_replicas, select_replicas_with,
-    select_storage, select_tiers_pass, storage_scales, CheckpointStrategy,
-    ExhaustiveSelectionError, JointSchedule, NoRankingError, OptimizedSchedule,
-    ReplicationStrategy, SelectionSpec, StorageStrategy, SweepPolicy,
+    optimize_checkpoints_with, optimize_joint, optimize_joint_with, ranking, replica_candidates,
+    replica_candidates_with, select_replicas, select_replicas_with, select_storage,
+    select_tiers_pass, storage_scales, CheckpointStrategy, ExhaustiveSelectionError, JointSchedule,
+    NoRankingError, OptimizedSchedule, ReplicationStrategy, SelectionSpec, StorageStrategy,
+    SweepPolicy,
 };

@@ -8,8 +8,7 @@
 //!
 //! * [`ProxyObjective`] — the homogeneous analytic evaluator
 //!   ([`crate::evaluator::evaluate`]), the paper's single-machine view;
-//! * [`ReplicatedEvaluator`] — the exact replication-aware evaluator with
-//!   memoized per-attempt statistics
+//! * [`ReplicatedEvaluator`] — the exact replication-aware evaluator
 //!   ([`crate::evaluator::replicated`]), for heterogeneous platforms;
 //! * `McObjective` (in `dagchkpt-sim`) — a Monte-Carlo estimate, the
 //!   backend of last resort for semantics no closed form covers.
@@ -18,9 +17,15 @@
 //! return the same value (the sweeps evaluate candidates in parallel and
 //! tie-break on budget order, so a noisy objective would make results
 //! depend on scheduling).
+//!
+//! A budget sweep asks the backend for one candidate evaluator per worker
+//! run ([`Objective::flag_evaluator`]). The two analytic backends return a
+//! compiled scratch that resumes each candidate from the previous one;
+//! every other backend gets the default, which builds each candidate's
+//! [`Schedule`] and calls [`Objective::cost`].
 
-use crate::evaluator;
 use crate::evaluator::replicated::ReplicatedEvaluator;
+use crate::evaluator::{self, EvalPlan, EvalScratch};
 use crate::model::Workflow;
 use crate::schedule::Schedule;
 use dagchkpt_failure::FaultModel;
@@ -71,6 +76,10 @@ impl CostSummary {
     }
 }
 
+/// A candidate evaluator for one sweep worker: checkpoint flags by 0-based
+/// schedule position in, cost out ([`Objective::flag_evaluator`]).
+pub type FlagEvaluator<'s> = Box<dyn FnMut(&[bool]) -> f64 + 's>;
+
 /// A deterministic scalar cost over schedules — lower is better. `Sync`
 /// because sweeps evaluate candidate schedules in parallel.
 pub trait Objective: Sync {
@@ -99,6 +108,19 @@ pub trait Objective: Sync {
     fn cost_quantile(&self, schedule: &Schedule, _q: f64) -> f64 {
         self.cost(schedule)
     }
+
+    /// A candidate evaluator for one sweep worker on the linearization
+    /// `plan` was compiled for: it maps checkpoint flags (by 0-based
+    /// schedule position) to [`cost`] of that schedule, bit for bit,
+    /// whatever it evaluated before. The default builds each candidate's
+    /// [`Schedule`] and calls [`cost`]; compiled backends return a scratch
+    /// that resumes from the previous candidate. `plan` must be compiled
+    /// from the workflow this objective prices.
+    ///
+    /// [`cost`]: Objective::cost
+    fn flag_evaluator<'s>(&'s self, plan: &'s EvalPlan) -> FlagEvaluator<'s> {
+        Box::new(move |flags: &[bool]| self.cost(&plan.schedule(flags)))
+    }
 }
 
 /// The paper's single-machine proxy: the homogeneous Theorem-3 evaluator
@@ -123,15 +145,24 @@ impl Objective for ProxyObjective<'_> {
     fn label(&self) -> &'static str {
         "proxy"
     }
+
+    fn flag_evaluator<'s>(&'s self, plan: &'s EvalPlan) -> FlagEvaluator<'s> {
+        let mut scratch = EvalScratch::new(plan, self.model);
+        Box::new(move |flags: &[bool]| scratch.expected_makespan(flags))
+    }
 }
 
 impl Objective for ReplicatedEvaluator<'_> {
     fn cost(&self, schedule: &Schedule) -> f64 {
-        self.expected_makespan(schedule)
+        self.evaluate(schedule).expected_makespan
     }
 
     fn label(&self) -> &'static str {
         "replicated"
+    }
+
+    fn flag_evaluator<'s>(&'s self, plan: &'s EvalPlan) -> FlagEvaluator<'s> {
+        self.compiled_evaluator(plan)
     }
 }
 

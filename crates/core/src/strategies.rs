@@ -22,7 +22,7 @@
 //! The sweep and the local search are **generic over the evaluation
 //! backend** ([`crate::objective::Objective`]): [`optimize_checkpoints`]
 //! is the paper's proxy-model entry point, [`optimize_checkpoints_with`]
-//! runs the same enumeration against any objective — notably the memoized
+//! runs the same enumeration against any objective — notably the exact
 //! replication-aware evaluator
 //! ([`crate::evaluator::replicated::ReplicatedEvaluator`]), which makes
 //! the sweep *replication-aware* instead of optimizing under the
@@ -37,7 +37,7 @@
 use crate::evaluator::replicated::{
     normalize_replica_set, ReplicatedEvaluator, MAX_REPLICATION_DEGREE,
 };
-use crate::evaluator::{EvalPlan, EvalScratch};
+use crate::evaluator::EvalPlan;
 use crate::model::Workflow;
 use crate::objective::{Objective, ProxyObjective};
 use crate::schedule::Schedule;
@@ -435,12 +435,8 @@ pub struct OptimizedSchedule {
 
 /// Applies `strategy` on the fixed linearization `order`, sweeping the
 /// checkpoint budget under `policy` against the paper's proxy model and
-/// returning the best schedule.
-///
-/// Candidates run on the compiled Theorem-3 path: one [`EvalPlan`] for the
-/// linearization and one [`EvalScratch`] per worker, which resumes each
-/// candidate from the previous one's matrices. Bit-identical to
-/// [`optimize_checkpoints_with`] over [`ProxyObjective`].
+/// returning the best schedule: [`optimize_checkpoints_with`] over
+/// [`ProxyObjective`].
 pub fn optimize_checkpoints(
     wf: &Workflow,
     model: FaultModel,
@@ -448,17 +444,17 @@ pub fn optimize_checkpoints(
     strategy: CheckpointStrategy,
     policy: SweepPolicy,
 ) -> OptimizedSchedule {
-    let plan = EvalPlan::new(wf, order);
-    optimize_with_cost(wf, order, strategy, policy, || {
-        let mut scratch = EvalScratch::new(&plan, model);
-        move |flags: &[bool]| scratch.expected_makespan(flags)
-    })
+    optimize_checkpoints_with(wf, &ProxyObjective::new(wf, model), order, strategy, policy)
 }
 
 /// [`optimize_checkpoints`] against an arbitrary [`Objective`] backend:
 /// the same candidate family and tie-breaks, evaluated by `obj` — pass a
-/// [`ReplicatedEvaluator`] to make the sweep replication-aware. With
-/// [`ProxyObjective`] this is bit-identical to [`optimize_checkpoints`].
+/// [`ReplicatedEvaluator`] to make the sweep replication-aware.
+///
+/// One [`EvalPlan`] compiles the linearization and each worker run asks
+/// `obj` for its own candidate evaluator ([`Objective::flag_evaluator`]);
+/// the analytic backends resume each candidate from the previous one's
+/// matrices.
 pub fn optimize_checkpoints_with<O: Objective + ?Sized>(
     wf: &Workflow,
     obj: &O,
@@ -466,10 +462,8 @@ pub fn optimize_checkpoints_with<O: Objective + ?Sized>(
     strategy: CheckpointStrategy,
     policy: SweepPolicy,
 ) -> OptimizedSchedule {
-    let base = Schedule::never(wf, order.to_vec()).expect("order is valid");
-    optimize_with_cost(wf, order, strategy, policy, || {
-        |flags: &[bool]| obj.cost(&flag_schedule(&base, flags))
-    })
+    let plan = EvalPlan::new(wf, order);
+    optimize_with_cost(wf, &plan, strategy, policy, || obj.flag_evaluator(&plan))
 }
 
 /// [`optimize_checkpoints_with`] minimizing the `q`-quantile of `obj`'s
@@ -488,10 +482,10 @@ pub fn optimize_checkpoints_quantile<O: Objective + ?Sized>(
     policy: SweepPolicy,
     q: f64,
 ) -> OptimizedSchedule {
-    let base = Schedule::never(wf, order.to_vec()).expect("order is valid");
-    optimize_with_cost(wf, order, strategy, policy, || {
+    let plan = EvalPlan::new(wf, order);
+    optimize_with_cost(wf, &plan, strategy, policy, || {
         |flags: &[bool]| {
-            let c = obj.cost_quantile(&flag_schedule(&base, flags), q);
+            let c = obj.cost_quantile(&plan.schedule(flags), q);
             if c.is_nan() {
                 f64::INFINITY
             } else {
@@ -501,24 +495,13 @@ pub fn optimize_checkpoints_quantile<O: Objective + ?Sized>(
     })
 }
 
-/// `base` with the checkpoint flags `flags` (by schedule position).
-fn flag_schedule(base: &Schedule, flags: &[bool]) -> Schedule {
-    let order = base.order();
-    base.with_checkpoints(FixedBitSet::from_indices(
-        order.len(),
-        (0..flags.len())
-            .filter(|&p| flags[p])
-            .map(|p| order[p].index()),
-    ))
-}
-
 /// The strategy dispatch behind every optimizer. `evaluator` creates one
 /// candidate evaluator per worker run; each evaluator maps checkpoint
 /// flags (by schedule position) to the scalar the sweep minimizes (mean
 /// cost, quantile cost, …).
 fn optimize_with_cost<F, E>(
     wf: &Workflow,
-    order: &[NodeId],
+    plan: &EvalPlan,
     strategy: CheckpointStrategy,
     policy: SweepPolicy,
     evaluator: F,
@@ -527,25 +510,19 @@ where
     F: Fn() -> E + Sync,
     E: FnMut(&[bool]) -> f64,
 {
-    let n = wf.n_tasks();
-    let base = Schedule::never(wf, order.to_vec()).expect("order is valid");
+    let fixed = |flags: Vec<bool>| OptimizedSchedule {
+        expected_makespan: evaluator()(&flags),
+        schedule: plan.schedule(&flags),
+        best_n: None,
+        evaluated: 1,
+    };
     match strategy {
-        CheckpointStrategy::Never => OptimizedSchedule {
-            expected_makespan: evaluator()(&vec![false; n]),
-            schedule: base,
-            best_n: None,
-            evaluated: 1,
-        },
-        CheckpointStrategy::Always => OptimizedSchedule {
-            expected_makespan: evaluator()(&vec![true; n]),
-            schedule: Schedule::always(wf, order.to_vec()).expect("order is valid"),
-            best_n: None,
-            evaluated: 1,
-        },
+        CheckpointStrategy::Never => fixed(vec![false; plan.n()]),
+        CheckpointStrategy::Always => fixed(vec![true; plan.n()]),
         CheckpointStrategy::Periodic => {
-            let completion = completion_times(wf, order);
+            let completion = completion_times(wf, plan.order());
             let total = wf.total_work();
-            sweep_with_cost(&base, policy, &evaluator, &|n_ckpt, flags: &mut [bool]| {
+            sweep_with_cost(plan, policy, &evaluator, &|n_ckpt, flags: &mut [bool]| {
                 flags.fill(false);
                 periodic_positions(&completion, total, n_ckpt, |pos| flags[pos] = true);
             })
@@ -554,9 +531,8 @@ where
             // Infallible here: the Never/Always/Periodic arms above are
             // exactly the strategies `ranking` rejects.
             let rank = ranking(wf, ranked).expect("every unmatched strategy is ranked");
-            let positions = base.positions();
-            let rank_pos: Vec<usize> = rank.iter().map(|v| positions[v.index()]).collect();
-            sweep_with_cost(&base, policy, &evaluator, &|n_ckpt, flags: &mut [bool]| {
+            let rank_pos: Vec<usize> = rank.iter().map(|v| plan.position(v.index()) - 1).collect();
+            sweep_with_cost(plan, policy, &evaluator, &|n_ckpt, flags: &mut [bool]| {
                 flags.fill(false);
                 for &pos in &rank_pos[..n_ckpt] {
                     flags[pos] = true;
@@ -572,12 +548,12 @@ where
 /// run creates one evaluator and one flag vector, and `set_for` rewrites
 /// the flags in place for each budget, so consecutive candidates of a run
 /// differ in few flags (exactly one for nested ranked budgets) — which is
-/// what lets an [`EvalScratch`] resume. Every value is independent of the
+/// what lets a compiled scratch resume. Every value is independent of the
 /// evaluator's history and [`better_candidate`] is independent of the
 /// grouping, so the result does not depend on the thread count. Only the
 /// winner is materialized as a [`Schedule`].
 fn sweep_with_cost<F, E>(
-    base: &Schedule,
+    plan: &EvalPlan,
     policy: SweepPolicy,
     evaluator: &F,
     set_for: &(impl Fn(usize, &mut [bool]) + Sync),
@@ -586,7 +562,7 @@ where
     F: Fn() -> E + Sync,
     E: FnMut(&[bool]) -> f64,
 {
-    let n = base.n_tasks();
+    let n = plan.n();
 
     let best_of = |candidates: &[usize]| -> Option<(usize, f64)> {
         let runs = rayon::current_num_threads().clamp(1, candidates.len().max(1));
@@ -641,7 +617,7 @@ where
     let mut flags = vec![false; n];
     set_for(best_n, &mut flags);
     OptimizedSchedule {
-        schedule: flag_schedule(base, &flags),
+        schedule: plan.schedule(&flags),
         expected_makespan: best_e,
         best_n: Some(best_n),
         evaluated,
@@ -764,7 +740,8 @@ pub struct JointSchedule {
     pub expected_makespan: f64,
     /// Per-task checkpoint storage tiers (indices into the hierarchy's
     /// declaration order), when the descent included the storage axis
-    /// ([`optimize_joint_storage`]). `None` for the two-axis descent.
+    /// ([`optimize_joint_with`] with a hierarchy). `None` for the two-axis
+    /// descent.
     pub tiers: Option<Vec<usize>>,
     /// Winning checkpoint budget of the final sweep.
     pub best_n: Option<usize>,
@@ -781,10 +758,10 @@ pub struct JointSchedule {
 /// improves nothing or `max_rounds` is exhausted. Returns the selected
 /// sets, their expected makespan, and the number of candidate evaluations.
 ///
-/// Each candidate evaluation is a full Theorem-3 recursion, but the
-/// evaluator's memoized attempt statistics make the unchanged tasks'
-/// blocks cache hits, so a pass costs far less than `n × |candidates|`
-/// cold evaluations. The result is never worse than `init`.
+/// A move changes one task's replica set, so each candidate evaluation
+/// resumes the evaluator's scratch: one stats row plus the assembly from
+/// the task's position on, far less than a cold evaluation. The result is
+/// never worse than `init`.
 pub fn select_replicas(
     wf: &Workflow,
     platform: &HeteroPlatform,
@@ -832,8 +809,8 @@ pub fn select_replicas_with(
 }
 
 /// One coordinate pass of [`select_replicas`] over an existing evaluator
-/// (so callers iterating selection — notably [`optimize_joint`] — keep its
-/// attempt-statistics cache warm across passes and stages). `best_e` must
+/// (so callers iterating selection — notably [`optimize_joint`] — keep
+/// resuming its scratch across passes and stages). `best_e` must
 /// hold the expected makespan of `schedule` under `ev`'s current sets;
 /// returns whether any task moved.
 fn select_replicas_pass(
@@ -903,12 +880,20 @@ pub fn optimize_joint(
         init_degrees,
         max_rounds,
         SelectionSpec::Prefixes,
+        None,
     )
     .expect("the prefix family is infallible")
 }
 
 /// [`optimize_joint`] under an explicit candidate family
-/// ([`SelectionSpec`]); see [`select_replicas_with`].
+/// ([`SelectionSpec`], see [`select_replicas_with`]) and, with
+/// `storage = Some((hierarchy, init_tiers))`, the **third axis**:
+/// coordinate descent over (checkpoint budget × per-task replica sets ×
+/// per-task storage tiers). Each round sweeps the budget under the current
+/// assignment, runs one replica-selection pass, then — with a hierarchy —
+/// one tier-selection pass; rounds are accepted only on strict
+/// improvement, so the storage descent is never worse than the two-axis
+/// descent started on the same initial tier assignment.
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_joint_with(
     wf: &Workflow,
@@ -919,6 +904,7 @@ pub fn optimize_joint_with(
     init_degrees: &[usize],
     max_rounds: usize,
     selection: SelectionSpec,
+    storage: Option<(&StorageHierarchy, &[usize])>,
 ) -> Result<JointSchedule, ExhaustiveSelectionError> {
     let n_procs = platform.n_procs().max(1);
     let max_degree = init_degrees
@@ -931,10 +917,12 @@ pub fn optimize_joint_with(
         .iter()
         .map(|&d| (0..d.clamp(1, n_procs)).collect())
         .collect();
-    // One evaluator for the whole descent: its attempt-statistics cache
-    // stays warm across both coordinates and across rounds (only the
-    // entries of tasks whose replica set actually moves are invalidated).
+    // One evaluator for the whole descent: every selection move resumes
+    // its scratch, across both coordinates and across rounds.
     let mut ev = ReplicatedEvaluator::from_sets(wf, platform, &init_sets);
+    if let Some((hierarchy, init_tiers)) = storage {
+        ev = ev.with_storage(hierarchy, init_tiers);
+    }
     let candidates = replica_candidates_with(platform, max_degree, selection)?;
     let mut best: Option<JointSchedule> = None;
     let mut evaluated = 0usize;
@@ -943,11 +931,15 @@ pub fn optimize_joint_with(
         rounds += 1;
         let opt = optimize_checkpoints_with(wf, &ev, order, strategy, policy);
         evaluated += opt.evaluated;
-        // One selection pass per joint round; the outer loop provides the
-        // iteration.
+        // One selection pass per axis per joint round; the outer loop
+        // provides the iteration.
         let mut e = ev.expected_makespan(&opt.schedule);
         evaluated += 1;
         select_replicas_pass(&mut ev, &opt.schedule, &candidates, &mut e, &mut evaluated);
+        if let Some((hierarchy, _)) = storage {
+            let n_tiers = hierarchy.n_tiers();
+            select_tiers_pass(&mut ev, &opt.schedule, n_tiers, &mut e, &mut evaluated);
+        }
         let tol = 1e-12 * e.abs().max(1.0);
         let better = best.as_ref().is_none_or(|b| e < b.expected_makespan - tol);
         let stalled = !better;
@@ -957,7 +949,7 @@ pub fn optimize_joint_with(
                 schedule: opt.schedule,
                 replica_sets: ev.sets().to_vec(),
                 expected_makespan: e,
-                tiers: None,
+                tiers: ev.tiers().map(|t| t.to_vec()),
                 evaluated,
                 rounds,
             });
@@ -1141,82 +1133,16 @@ pub fn select_storage(
     )
 }
 
-/// [`optimize_joint`] with the **third axis**: coordinate descent over
-/// (checkpoint budget × per-task replica sets × per-task storage tiers).
-/// Each round sweeps the budget under the current replica and tier
-/// assignment, runs one replica-selection pass, then one tier-selection
-/// pass; rounds are accepted only on strict improvement, so the result is
-/// never worse than the two-axis descent started on the same initial
-/// tier assignment.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_joint_storage(
-    wf: &Workflow,
-    platform: &'_ HeteroPlatform,
-    order: &[NodeId],
-    strategy: CheckpointStrategy,
-    policy: SweepPolicy,
-    init_degrees: &[usize],
-    max_rounds: usize,
-    selection: SelectionSpec,
-    hierarchy: &StorageHierarchy,
-    init_tiers: &[usize],
-) -> Result<JointSchedule, ExhaustiveSelectionError> {
-    let n_procs = platform.n_procs().max(1);
-    let max_degree = init_degrees
-        .iter()
-        .map(|&d| d.clamp(1, n_procs))
-        .max()
-        .unwrap_or(1)
-        .clamp(1, MAX_REPLICATION_DEGREE.min(n_procs));
-    let init_sets: Vec<Vec<usize>> = init_degrees
-        .iter()
-        .map(|&d| (0..d.clamp(1, n_procs)).collect())
-        .collect();
-    let n_tiers = hierarchy.n_tiers();
-    let mut ev = ReplicatedEvaluator::from_sets(wf, platform, &init_sets)
-        .with_storage(hierarchy, init_tiers);
-    let candidates = replica_candidates_with(platform, max_degree, selection)?;
-    let mut best: Option<JointSchedule> = None;
-    let mut evaluated = 0usize;
-    let mut rounds = 0usize;
-    for _ in 0..max_rounds.max(1) {
-        rounds += 1;
-        let opt = optimize_checkpoints_with(wf, &ev, order, strategy, policy);
-        evaluated += opt.evaluated;
-        let mut e = ev.expected_makespan(&opt.schedule);
-        evaluated += 1;
-        select_replicas_pass(&mut ev, &opt.schedule, &candidates, &mut e, &mut evaluated);
-        select_tiers_pass(&mut ev, &opt.schedule, n_tiers, &mut e, &mut evaluated);
-        let tol = 1e-12 * e.abs().max(1.0);
-        let better = best.as_ref().is_none_or(|b| e < b.expected_makespan - tol);
-        let stalled = !better;
-        if better {
-            best = Some(JointSchedule {
-                best_n: opt.best_n,
-                schedule: opt.schedule,
-                replica_sets: ev.sets().to_vec(),
-                expected_makespan: e,
-                tiers: ev.tiers().map(|t| t.to_vec()),
-                evaluated,
-                rounds,
-            });
-        }
-        if stalled {
-            break;
-        }
-    }
-    let mut out = best.expect("at least one joint round ran");
-    out.evaluated = evaluated;
-    out.rounds = rounds;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluator::replicated::oracle;
     use crate::model::{CostRule, TaskCosts};
     use dagchkpt_dag::{generators, topo};
     use dagchkpt_failure::StorageTier;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn chain_wf() -> Workflow {
         Workflow::with_cost_rule(
@@ -1325,7 +1251,7 @@ mod tests {
         .unwrap();
         let order = topo::topological_order(wf.dag());
         let h = two_tier_hierarchy();
-        let joint = optimize_joint_storage(
+        let joint = optimize_joint_with(
             &wf,
             &platform,
             &order,
@@ -1334,8 +1260,7 @@ mod tests {
             &[2; 6],
             4,
             SelectionSpec::Prefixes,
-            &h,
-            &[0; 6],
+            Some((&h, &[0; 6])),
         )
         .unwrap();
         let tiers = joint.tiers.as_ref().expect("storage descent reports tiers");
@@ -1364,6 +1289,55 @@ mod tests {
             joint.expected_makespan,
             sweep.expected_makespan
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The resumed replication-aware sweep picks the sequential argmin
+        /// (ties toward smaller budgets) of per-candidate evaluations by
+        /// the uncached reference oracle: the same budget, value bits,
+        /// candidate count and checkpoint set.
+        #[test]
+        fn resumed_sweep_is_bit_identical_to_the_oracle(seed in 0u64..100) {
+            let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(0xC0FFEE));
+            let n = rng.gen_range(8..14usize);
+            let dag = generators::layered_random(&mut rng, n, 4, 0.35);
+            let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(5.0..40.0)).collect();
+            let wf =
+                Workflow::with_cost_rule(dag, weights, CostRule::ProportionalToWork { ratio: 0.1 });
+            let lambda = rng.gen_range(1e-3..8e-3);
+            let procs: Vec<Processor> = (0..rng.gen_range(2..=4usize))
+                .map(|_| Processor {
+                    speed: rng.gen_range(0.5..2.0),
+                    ..Processor::reference(lambda * rng.gen_range(0.25..6.0))
+                })
+                .collect();
+            let platform = HeteroPlatform::new(procs, rng.gen_range(0.0..3.0)).unwrap();
+            let degrees = ReplicationStrategy::Uniform { degree: 2 }.degrees(&wf, platform.n_procs());
+            let order = crate::linearize::linearize(
+                &wf,
+                crate::linearize::LinearizationStrategy::DepthFirst,
+            );
+            let ev = ReplicatedEvaluator::from_degrees(&wf, &platform, &degrees);
+            let strategy = CheckpointStrategy::ByDecreasingWork;
+            let swept = optimize_checkpoints_with(&wf, &ev, &order, strategy, SweepPolicy::Exhaustive);
+            let rank = ranking(&wf, strategy).unwrap();
+            let base = Schedule::never(&wf, order).unwrap();
+            let mut best: Option<(usize, f64)> = None;
+            for k in 0..=n {
+                let s = base.with_checkpoints(set_from_ranking(n, &rank, k));
+                let e = oracle::evaluate(&ev, &s).expected_makespan;
+                if best.is_none_or(|(_, b)| e < b) {
+                    best = Some((k, e));
+                }
+            }
+            let (best_n, best_e) = best.unwrap();
+            prop_assert!(swept.expected_makespan.to_bits() == best_e.to_bits());
+            prop_assert!(swept.best_n == Some(best_n));
+            prop_assert!(swept.evaluated == n + 1);
+            prop_assert!(swept.schedule.checkpoints() == &set_from_ranking(n, &rank, best_n));
+        }
     }
 
     #[test]
@@ -1984,6 +1958,7 @@ mod tests {
             &[1; 6],
             1,
             SelectionSpec::Exhaustive,
+            None,
         )
         .is_err());
     }

@@ -1,10 +1,11 @@
-//! Allocation-count regression suite for the compiled Theorem-3 path.
+//! Allocation-count regression suite for the compiled Theorem-3 paths.
 //!
 //! A counting `#[global_allocator]` pins the structural guarantee of
-//! [`EvalScratch`]: once the scratch is built, evaluating a candidate —
-//! fresh, resumed, repeated, fault-free or not — never touches the
-//! allocator. A whole budget sweep therefore allocates per worker run,
-//! never per candidate.
+//! [`EvalScratch`] and of the replication-aware scratch: once a scratch is
+//! built, evaluating a candidate — fresh, resumed, repeated, fault-free or
+//! not — never touches the allocator, and neither does a replica or tier
+//! move followed by a resumed evaluation. A whole budget sweep therefore
+//! allocates per worker run, never per candidate.
 //!
 //! The counter is per thread, so the test harness starting other tests
 //! cannot leak counts into a measurement window; the sweep test pins one
@@ -12,9 +13,12 @@
 //! one mutex because the sweep test mutates `RAYON_NUM_THREADS`.
 
 use dagchkpt_core::evaluator::{EvalPlan, EvalScratch};
-use dagchkpt_core::{optimize_checkpoints, CheckpointStrategy, CostRule, SweepPolicy, Workflow};
+use dagchkpt_core::{
+    optimize_checkpoints, optimize_checkpoints_with, CheckpointStrategy, CostRule, Objective,
+    ReplicatedEvaluator, SweepPolicy, Workflow,
+};
 use dagchkpt_dag::{generators, topo};
-use dagchkpt_failure::FaultModel;
+use dagchkpt_failure::{FaultModel, HeteroPlatform, Processor, StorageHierarchy, StorageTier};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,16 +70,10 @@ fn workflow(n: usize, seed: u64) -> Workflow {
     Workflow::with_cost_rule(dag, weights, CostRule::ProportionalToWork { ratio: 0.1 })
 }
 
-#[test]
-fn candidates_make_zero_allocations_after_the_scratch_is_built() {
-    let _guard = SERIAL.lock().unwrap();
-    let n = 80;
-    let wf = workflow(n, 3);
-    let order = topo::topological_order(wf.dag());
-    let plan = EvalPlan::new(&wf, &order);
-    let mut rng = SmallRng::seed_from_u64(9);
-    // Candidate sequences prepared outside the window: nested budgets,
-    // arbitrary flips, and a repeat.
+/// Candidate sequences prepared outside any window: nested budgets,
+/// arbitrary flips, and a repeat.
+fn candidate_sequences(n: usize, seed: u64) -> Vec<Vec<bool>> {
+    let mut rng = SmallRng::seed_from_u64(seed);
     let mut seqs = Vec::new();
     let mut flags = vec![false; n];
     for p in (0..n).rev() {
@@ -86,6 +84,50 @@ fn candidates_make_zero_allocations_after_the_scratch_is_built() {
         seqs.push((0..n).map(|_| rng.gen_bool(0.3)).collect::<Vec<bool>>());
     }
     seqs.push(seqs[seqs.len() - 1].clone());
+    seqs
+}
+
+/// A fast-but-flaky / slow-but-safe pool with a free-writing third
+/// processor, and a two-tier hierarchy with replica-write contention.
+fn hetero_setup(lambda: f64) -> (HeteroPlatform, StorageHierarchy) {
+    let platform = HeteroPlatform::new(
+        vec![
+            Processor {
+                speed: 1.4,
+                ..Processor::reference(4.0 * lambda)
+            },
+            Processor::reference(lambda),
+            Processor {
+                speed: 0.7,
+                write_bw: 2.0,
+                ..Processor::reference(0.5 * lambda)
+            },
+        ],
+        1.0,
+    )
+    .unwrap();
+    let hierarchy = StorageHierarchy::new(vec![
+        StorageTier::unit("local"),
+        StorageTier {
+            name: "pfs".to_string(),
+            write_bw: 0.5,
+            read_bw: 4.0,
+            compression: 1.0,
+            contention: 0.25,
+        },
+    ])
+    .unwrap();
+    (platform, hierarchy)
+}
+
+#[test]
+fn candidates_make_zero_allocations_after_the_scratch_is_built() {
+    let _guard = SERIAL.lock().unwrap();
+    let n = 80;
+    let wf = workflow(n, 3);
+    let order = topo::topological_order(wf.dag());
+    let plan = EvalPlan::new(&wf, &order);
+    let seqs = candidate_sequences(n, 9);
     for model in [FaultModel::new(2e-3, 1.0), FaultModel::fault_free()] {
         let mut scratch = EvalScratch::new(&plan, model);
         let mut sink = 0.0f64;
@@ -106,17 +148,75 @@ fn candidates_make_zero_allocations_after_the_scratch_is_built() {
 }
 
 #[test]
+fn replicated_candidates_and_moves_make_zero_allocations_after_warm_up() {
+    let _guard = SERIAL.lock().unwrap();
+    let n = 60;
+    let wf = workflow(n, 4);
+    let order = topo::topological_order(wf.dag());
+    let plan = EvalPlan::new(&wf, &order);
+    let seqs = candidate_sequences(n, 10);
+    let (platform, hierarchy) = hetero_setup(2e-3);
+    let ev = ReplicatedEvaluator::from_degrees(&wf, &platform, &vec![2; n])
+        .with_storage(&hierarchy, &vec![0; n]);
+
+    // One sweep worker's candidates.
+    let mut eval = ev.flag_evaluator(&plan);
+    let mut sink = eval(&seqs[0]);
+    let before = alloc_count();
+    for flags in &seqs {
+        sink += eval(flags);
+    }
+    let allocs = alloc_count() - before;
+    drop(eval);
+    assert!(sink.is_finite() && sink > 0.0);
+    assert_eq!(
+        allocs,
+        0,
+        "{allocs} allocations over {} candidates",
+        seqs.len()
+    );
+
+    // Replica and tier moves, each followed by a resumed evaluation.
+    let mut ev = ev;
+    let schedule = plan.schedule(&seqs[n / 2]);
+    let sets: [&[usize]; 4] = [&[0], &[1, 2], &[0, 1, 2], &[2]];
+    let moves: Vec<(usize, usize)> = (0..3 * n).map(|m| ((m * 7) % n, m % 4)).collect();
+    sink = ev.expected_makespan(&schedule);
+    let before = alloc_count();
+    for &(task, choice) in &moves {
+        ev.set_replicas(task, sets[choice]);
+        sink += ev.expected_makespan(&schedule);
+        ev.set_tier(task, choice % 2);
+        sink += ev.expected_makespan(&schedule);
+    }
+    let allocs = alloc_count() - before;
+    assert!(sink.is_finite() && sink > 0.0);
+    assert_eq!(
+        allocs,
+        0,
+        "{allocs} allocations over {} moves",
+        2 * moves.len()
+    );
+}
+
+#[test]
 fn sweep_allocations_do_not_grow_with_the_candidate_count() {
     let _guard = SERIAL.lock().unwrap();
     // One worker: the sweep runs inline, so the count is exact.
     let saved = std::env::var("RAYON_NUM_THREADS").ok();
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let model = FaultModel::new(1e-3, 0.5);
-    let count = |n: usize, strategy: CheckpointStrategy| {
+    let (platform, _) = hetero_setup(1e-3);
+    let count = |n: usize, strategy: CheckpointStrategy, replicated: bool| {
         let wf = workflow(n, 5);
         let order = topo::topological_order(wf.dag());
+        let ev = ReplicatedEvaluator::from_degrees(&wf, &platform, &vec![2; n]);
         let before = alloc_count();
-        let r = optimize_checkpoints(&wf, model, &order, strategy, SweepPolicy::Exhaustive);
+        let r = if replicated {
+            optimize_checkpoints_with(&wf, &ev, &order, strategy, SweepPolicy::Exhaustive)
+        } else {
+            optimize_checkpoints(&wf, model, &order, strategy, SweepPolicy::Exhaustive)
+        };
         let allocs = alloc_count() - before;
         assert_eq!(r.evaluated, n + 1);
         allocs
@@ -125,15 +225,18 @@ fn sweep_allocations_do_not_grow_with_the_candidate_count() {
         CheckpointStrategy::ByDecreasingWork,
         CheckpointStrategy::Periodic,
     ] {
-        let small = count(40, strategy);
-        let large = count(160, strategy);
-        // 120 more candidates; the per-run setup (plan, scratch, ranking,
-        // winner schedule) may grow by a few reallocations, not per
-        // candidate.
-        assert!(
-            large <= small + 8,
-            "{strategy:?}: {small} allocations at n = 40, {large} at n = 160"
-        );
+        for replicated in [false, true] {
+            let small = count(40, strategy, replicated);
+            let large = count(160, strategy, replicated);
+            // 120 more candidates; the per-run setup (plan, scratch,
+            // ranking, winner schedule) may grow by a few reallocations,
+            // not per candidate.
+            assert!(
+                large <= small + 8,
+                "{strategy:?} (replicated: {replicated}): {small} allocations at n = 40, \
+                 {large} at n = 160"
+            );
+        }
     }
     match saved {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),

@@ -7,18 +7,21 @@
 //! history-independent and the argmin is grouping-independent. This suite
 //! pins `best_n`, the expected-makespan bits, `evaluated` and the winning
 //! checkpoint set under 1, 2 and 4 workers, and checks the winner against
-//! a sequential argmin over one-shot evaluations. The vendored
-//! executor reads the variable at every dispatch; a mutex serializes the
-//! env mutation.
+//! a sequential argmin over one-shot evaluations. The replication-aware
+//! sweep, the joint descent and its storage axis resume a replicated
+//! scratch per worker (and the evaluator's own across selection moves);
+//! their results are pinned the same way. The vendored executor reads the
+//! variable at every dispatch; a mutex serializes the env mutation.
 
 use dagchkpt_core::evaluator::evaluate;
 use dagchkpt_core::strategies::{periodic_set, ranking, set_from_ranking};
 use dagchkpt_core::{
-    linearize, optimize_checkpoints, CheckpointStrategy, CostRule, LinearizationStrategy,
-    OptimizedSchedule, Schedule, SweepPolicy, Workflow,
+    linearize, optimize_checkpoints, optimize_checkpoints_with, optimize_joint,
+    optimize_joint_with, CheckpointStrategy, CostRule, JointSchedule, LinearizationStrategy,
+    OptimizedSchedule, ReplicatedEvaluator, Schedule, SelectionSpec, SweepPolicy, Workflow,
 };
 use dagchkpt_dag::generators;
-use dagchkpt_failure::FaultModel;
+use dagchkpt_failure::{FaultModel, HeteroPlatform, Processor, StorageHierarchy, StorageTier};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -123,6 +126,103 @@ fn exhaustive_winner_is_the_sequential_argmin() {
                 "{strategy:?}"
             );
             assert_eq!(r.schedule.checkpoints(), &set_for(best_n), "{strategy:?}");
+        }
+    }
+}
+
+type JointPrint = (
+    Option<usize>,
+    u64,
+    usize,
+    usize,
+    Vec<Vec<usize>>,
+    Option<Vec<usize>>,
+    Vec<usize>,
+);
+
+fn joint_fingerprint(j: &JointSchedule) -> JointPrint {
+    (
+        j.best_n,
+        j.expected_makespan.to_bits(),
+        j.evaluated,
+        j.rounds,
+        j.replica_sets.clone(),
+        j.tiers.clone(),
+        j.schedule.checkpoints().iter().collect(),
+    )
+}
+
+#[test]
+fn replicated_optimizers_are_identical_for_any_thread_count() {
+    let lambda = 3e-3;
+    let platform = HeteroPlatform::new(
+        vec![
+            Processor {
+                speed: 1.5,
+                ..Processor::reference(4.0 * lambda)
+            },
+            Processor::reference(lambda),
+            Processor {
+                speed: 0.6,
+                ..Processor::reference(0.0)
+            },
+        ],
+        1.0,
+    )
+    .unwrap();
+    let hierarchy = StorageHierarchy::new(vec![
+        StorageTier::unit("local"),
+        StorageTier {
+            name: "pfs".to_string(),
+            write_bw: 0.25,
+            read_bw: 4.0,
+            compression: 1.0,
+            contention: 0.5,
+        },
+    ])
+    .unwrap();
+    for (seed, n) in [(5u64, 33usize), (6, 2), (7, 1)] {
+        let wf = instance(seed, n);
+        let order = linearize(&wf, LinearizationStrategy::RandomFirst { seed });
+        let degrees = vec![2; n];
+        let runs = under_thread_counts(|| {
+            let aware = ReplicatedEvaluator::from_degrees(&wf, &platform, &degrees);
+            let sweeps: Vec<_> = STRATEGIES
+                .iter()
+                .map(|&s| {
+                    fingerprint(&optimize_checkpoints_with(
+                        &wf,
+                        &aware,
+                        &order,
+                        s,
+                        SweepPolicy::Strided { stride: 4 },
+                    ))
+                })
+                .collect();
+            let joints: Vec<_> = STRATEGIES[2..5]
+                .iter()
+                .flat_map(|&s| {
+                    let policy = SweepPolicy::Exhaustive;
+                    let joint = optimize_joint(&wf, &platform, &order, s, policy, &degrees, 3);
+                    let storage = optimize_joint_with(
+                        &wf,
+                        &platform,
+                        &order,
+                        s,
+                        policy,
+                        &degrees,
+                        3,
+                        SelectionSpec::Prefixes,
+                        Some((&hierarchy, &vec![1; n])),
+                    )
+                    .unwrap();
+                    [joint_fingerprint(&joint), joint_fingerprint(&storage)]
+                })
+                .collect();
+            (sweeps, joints)
+        });
+        for r in &runs[1..] {
+            assert_eq!(r, &runs[0], "seed {seed}, n = {n}");
         }
     }
 }

@@ -1065,7 +1065,7 @@ mod tests {
         let analytic = {
             let sets: Vec<Vec<usize>> = degrees.iter().map(|&d| (0..d).collect()).collect();
             let ev = ReplicatedEvaluator::from_sets(&wf, &platform, &sets).with_storage(&h, &tiers);
-            ev.expected_makespan(&s)
+            ev.evaluate(&s).expected_makespan
         };
         let (cs, rs) = storage_scales(&h, &tiers, &degrees);
         let scaled = wf.with_scaled_costs(&cs, &rs);
