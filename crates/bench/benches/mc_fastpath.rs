@@ -1,21 +1,27 @@
-//! Monte-Carlo fast-path speedup: compiled trial plans + scratch arenas
-//! versus the per-trial reference engines.
+//! Monte-Carlo fast-path speedup: compiled trial plans versus the
+//! per-trial reference engines.
 //!
-//! Every campaign runner now compiles the `(workflow, schedule, costs)`
-//! cell into a flat [`TrialPlan`] once and threads a per-worker
-//! [`TrialScratch`] arena through the trials, so the steady state does
-//! no graph traversal and no heap allocation. The reference engines
-//! (`simulate`, `simulate_nonblocking`, `simulate_replicated`) survive
-//! as the differential-test oracles — and as the "before" side of this
+//! Every campaign runner compiles the `(workflow, schedule, costs)` cell
+//! into a flat [`TrialPlan`] once, recovery rows included, so the steady
+//! state does no heap allocation. The blocking and replicated engines do
+//! no graph traversal either: after a fault they read the compiled row
+//! of the wipe position. The non-blocking engine (with its per-worker
+//! [`TrialScratch`]) reads the same rows while every checkpoint before
+//! the wipe is durable, and otherwise walks the graph for the blocks
+//! with an input from before the wipe. The reference engines
+//! (`simulate`, `simulate_nonblocking`, `simulate_replicated`) survive as
+//! the differential-test oracles — and as the "before" side of this
 //! bench.
 //!
-//! The matrix is {chain-200, cybershake-200} × {blocking, non-blocking,
-//! replicated}, timed trial-for-trial on one thread with identical
-//! seeds, so the ratio isolates per-trial work (the statistics spine is
-//! shared). Besides the criterion table, the bench emits `BENCH_mc.json`
-//! (working directory) with trials/sec before/after and the speedup per
-//! row. `--quick` (the CI smoke mode) skips the criterion table and
-//! shrinks the trial counts.
+//! The matrix is {chain-200, cybershake-200 at λ = 1e-3, cybershake-200
+//! at λ·W ≈ 4 (fault-heavy: the post-fault path)} × {blocking,
+//! non-blocking, replicated}, timed trial-for-trial on one thread with
+//! identical seeds, so the ratio isolates per-trial work (the statistics
+//! spine is shared). Besides the criterion table, the bench emits
+//! `BENCH_mc.json` (working directory) with trials/sec before/after, the
+//! speedup, and the plan's compile time and row bytes per row.
+//! `--quick` (the CI smoke mode) skips the criterion table and shrinks
+//! the trial counts.
 
 use criterion::{criterion_group, Criterion};
 use dagchkpt_core::{CostRule, Schedule, Workflow};
@@ -30,10 +36,13 @@ use std::time::Instant;
 
 const N_TASKS: usize = 200;
 const LAMBDA: f64 = 1e-3;
+/// Faults per unit of total work on the fault-heavy row (λ·W).
+const HEAVY_LAMBDA_W: f64 = 4.0;
 const DOWNTIME: f64 = 1.0;
 const COMPUTE_RATE: f64 = 0.8;
 
-fn fixtures() -> Vec<(&'static str, Workflow, Schedule)> {
+/// `(name, workflow, schedule, λ)` per matrix row group.
+fn fixtures() -> Vec<(&'static str, Workflow, Schedule, f64)> {
     let chain = Workflow::uniform(generators::chain(N_TASKS), 10.0, 1.0);
     let cyber = dagchkpt_workflows::cybershake::generate(
         N_TASKS,
@@ -41,26 +50,31 @@ fn fixtures() -> Vec<(&'static str, Workflow, Schedule)> {
         CostRule::ProportionalToWork { ratio: 0.1 },
         42,
     );
-    [("chain-200", chain), ("cybershake-200", cyber)]
-        .into_iter()
-        .map(|(name, wf)| {
-            let order = topo::topological_order(wf.dag());
-            let n = wf.n_tasks();
-            let ckpt = FixedBitSet::from_indices(n, (0..n).filter(|i| i % 4 == 0));
-            let s = Schedule::new(&wf, order, ckpt).unwrap();
-            (name, wf, s)
-        })
-        .collect()
+    let heavy = HEAVY_LAMBDA_W / cyber.total_work();
+    [
+        ("chain-200", chain, LAMBDA),
+        ("cybershake-200", cyber.clone(), LAMBDA),
+        ("cybershake-200-lw4", cyber, heavy),
+    ]
+    .into_iter()
+    .map(|(name, wf, lambda)| {
+        let order = topo::topological_order(wf.dag());
+        let n = wf.n_tasks();
+        let ckpt = FixedBitSet::from_indices(n, (0..n).filter(|i| i % 4 == 0));
+        let s = Schedule::new(&wf, order, ckpt).unwrap();
+        (name, wf, s, lambda)
+    })
+    .collect()
 }
 
-fn platform2() -> HeteroPlatform {
+fn platform2(lambda: f64) -> HeteroPlatform {
     HeteroPlatform::new(
         vec![
             Processor {
                 speed: 2.0,
-                ..Processor::reference(LAMBDA)
+                ..Processor::reference(lambda)
             },
-            Processor::reference(LAMBDA / 4.0),
+            Processor::reference(lambda / 4.0),
         ],
         DOWNTIME,
     )
@@ -89,6 +103,8 @@ struct Row {
     trials: usize,
     before_tps: f64,
     after_tps: f64,
+    compile_ms: f64,
+    row_bytes: usize,
 }
 
 impl Row {
@@ -102,11 +118,14 @@ fn measure(
     name: &'static str,
     wf: &Workflow,
     s: &Schedule,
+    lambda: f64,
     engine: &'static str,
     trials: usize,
 ) -> Row {
     let spec = TrialSpec::new(trials, 77);
+    let start = Instant::now();
     let plan = TrialPlan::compile(wf, s);
+    let compile_ms = start.elapsed().as_secs_f64() * 1e3;
     let mut scratch = TrialScratch::new(plan.n_tasks());
     let cfg = SimConfig {
         downtime: DOWNTIME,
@@ -117,7 +136,7 @@ fn measure(
         compute_rate: COMPUTE_RATE,
         record_trace: false,
     };
-    let platform = platform2();
+    let platform = platform2(lambda);
     let degrees: Vec<usize> = (0..wf.n_tasks()).map(|i| 1 + i % 2).collect();
     let prefix: Vec<usize> = (0..2).collect();
     let sets: Vec<&[usize]> = degrees.iter().map(|&d| &prefix[..d]).collect();
@@ -132,21 +151,21 @@ fn measure(
     let (before, after) = match engine {
         "blocking" => (
             time_trials(trials, |i| {
-                let mut inj = ExponentialInjector::new(LAMBDA, spec.trial_seed(i));
+                let mut inj = ExponentialInjector::new(lambda, spec.trial_seed(i));
                 simulate(wf, s, &mut inj, cfg).makespan
             }),
             time_trials(trials, |i| {
-                let mut inj = ExponentialInjector::new(LAMBDA, spec.trial_seed(i));
-                simulate_planned(&plan, &mut scratch, &mut inj, DOWNTIME).makespan
+                let mut inj = ExponentialInjector::new(lambda, spec.trial_seed(i));
+                simulate_planned(&plan, &mut inj, DOWNTIME).makespan
             }),
         ),
         "nonblocking" => (
             time_trials(trials, |i| {
-                let mut inj = ExponentialInjector::new(LAMBDA, spec.trial_seed(i));
+                let mut inj = ExponentialInjector::new(lambda, spec.trial_seed(i));
                 simulate_nonblocking(wf, s, &mut inj, nb_cfg).makespan
             }),
             time_trials(trials, |i| {
-                let mut inj = ExponentialInjector::new(LAMBDA, spec.trial_seed(i));
+                let mut inj = ExponentialInjector::new(lambda, spec.trial_seed(i));
                 simulate_nonblocking_planned(&plan, &mut scratch, &mut inj, nb_cfg).makespan
             }),
         ),
@@ -157,8 +176,7 @@ fn measure(
             }),
             time_trials(trials, |i| {
                 fill_injectors(&mut injectors, i);
-                simulate_replicated_planned(&plan, &mut scratch, &platform, &sets, &mut injectors)
-                    .makespan
+                simulate_replicated_planned(&plan, &platform, &sets, &mut injectors).makespan
             }),
         ),
         other => panic!("unknown engine {other}"),
@@ -169,14 +187,16 @@ fn measure(
         trials,
         before_tps: trials as f64 / before,
         after_tps: trials as f64 / after,
+        compile_ms,
+        row_bytes: plan.row_bytes(),
     }
 }
 
 fn run_matrix(trials: usize) -> Vec<Row> {
     let mut rows = Vec::new();
-    for (name, wf, s) in &fixtures() {
+    for (name, wf, s, lambda) in &fixtures() {
         for engine in ["blocking", "nonblocking", "replicated"] {
-            rows.push(measure(name, wf, s, engine, trials));
+            rows.push(measure(name, wf, s, *lambda, engine, trials));
         }
     }
     rows
@@ -191,13 +211,15 @@ fn write_json(rows: &[Row], quick: bool) {
         body.push_str(&format!(
             "    {{\"workflow\": \"{}\", \"engine\": \"{}\", \"trials\": {}, \
              \"before_trials_per_sec\": {:.1}, \"after_trials_per_sec\": {:.1}, \
-             \"speedup\": {:.2}}}",
+             \"speedup\": {:.2}, \"compile_ms\": {:.3}, \"row_bytes\": {}}}",
             r.workflow,
             r.engine,
             r.trials,
             r.before_tps,
             r.after_tps,
-            r.speedup()
+            r.speedup(),
+            r.compile_ms,
+            r.row_bytes
         ));
     }
     let json = format!(
@@ -209,9 +231,8 @@ fn write_json(rows: &[Row], quick: bool) {
 
 fn bench_fastpath(c: &mut Criterion) {
     let fixtures = fixtures();
-    let (name, wf, s) = &fixtures[0];
+    let (name, wf, s, _) = &fixtures[0];
     let plan = TrialPlan::compile(wf, s);
-    let mut scratch = TrialScratch::new(plan.n_tasks());
     let spec = TrialSpec::new(64, 77);
     let cfg = SimConfig {
         downtime: DOWNTIME,
@@ -234,7 +255,7 @@ fn bench_fastpath(c: &mut Criterion) {
             (0..64)
                 .map(|i| {
                     let mut inj = ExponentialInjector::new(LAMBDA, spec.trial_seed(i));
-                    simulate_planned(&plan, &mut scratch, &mut inj, DOWNTIME).makespan
+                    simulate_planned(&plan, &mut inj, DOWNTIME).makespan
                 })
                 .sum::<f64>()
         })
@@ -255,12 +276,14 @@ fn main() {
     println!("\nwrote BENCH_mc.json ({} rows):", rows.len());
     for r in &rows {
         println!(
-            "  {:>15} {:>12}: {:>9.1} -> {:>9.1} trials/sec ({:.2}x)",
+            "  {:>18} {:>12}: {:>9.1} -> {:>9.1} trials/sec ({:.2}x; compile {:.3} ms, rows {} B)",
             r.workflow,
             r.engine,
             r.before_tps,
             r.after_tps,
-            r.speedup()
+            r.speedup(),
+            r.compile_ms,
+            r.row_bytes
         );
     }
 }

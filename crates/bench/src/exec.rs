@@ -25,10 +25,10 @@ use dagchkpt_failure::{
     WeibullInjector,
 };
 use dagchkpt_sim::{
-    run_nonblocking_trials_with, run_replicated_sets_trials_with, run_replicated_trials_with,
-    run_tenant_trials_with, run_trials_with, simulate_replicated_nonblocking,
-    simulate_replicated_nonblocking_sets, trial_metric_tail_stats, McObjective, NonBlockingConfig,
-    TenantConfig, TenantJob, TenantPolicy, TrialSpec,
+    run_nonblocking_trials_with, run_replicated_nonblocking_trials_with,
+    run_replicated_sets_trials_with, run_replicated_trials_with, run_tenant_trials_with,
+    run_trials_with, McObjective, NonBlockingConfig, TenantConfig, TenantJob, TenantPolicy,
+    TrialSpec,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -507,27 +507,53 @@ impl FaultInjector for CellInjector {
     }
 }
 
-fn make_injector(failure: &FailureCell, seed: u64) -> CellInjector {
-    match failure {
-        FailureCell::Exponential { lambda, .. } => {
-            CellInjector::Exp(ExponentialInjector::new(*lambda, seed))
-        }
-        FailureCell::Weibull { mtbf, shape, .. } => {
-            CellInjector::Weibull(WeibullInjector::with_mtbf(*mtbf, *shape, seed))
-        }
-        FailureCell::Trace { times, .. } => CellInjector::Trace(TraceInjector::new(times.clone())),
-    }
+/// A fault process calibrated once per cell (the Weibull scale costs a
+/// Γ evaluation), building each trial's [`CellInjector`] from a seed.
+#[derive(Clone, Copy)]
+enum FaultSource<'a> {
+    Exp { lambda: f64 },
+    Weibull { scale: f64, shape: f64 },
+    Trace(&'a [f64]),
 }
 
-/// Fault source for one processor of a resolved platform: exponential at
-/// the processor's own rate, or Weibull of the same mean when a shape is
-/// set (cell-level or per-processor override).
-fn make_proc_injector(proc: &dagchkpt_failure::Processor, seed: u64) -> CellInjector {
-    match proc.shape {
-        Some(shape) if proc.lambda > 0.0 => {
-            CellInjector::Weibull(WeibullInjector::with_mtbf(1.0 / proc.lambda, shape, seed))
+impl<'a> FaultSource<'a> {
+    /// The cell's single-machine fault process.
+    fn of_cell(failure: &'a FailureCell) -> Self {
+        match failure {
+            FailureCell::Exponential { lambda, .. } => FaultSource::Exp { lambda: *lambda },
+            FailureCell::Weibull { mtbf, shape, .. } => FaultSource::Weibull {
+                scale: WeibullInjector::mtbf_scale(*mtbf, *shape),
+                shape: *shape,
+            },
+            FailureCell::Trace { times, .. } => FaultSource::Trace(times),
         }
-        _ => CellInjector::Exp(ExponentialInjector::new(proc.lambda, seed)),
+    }
+
+    /// One processor of a resolved platform: exponential at the
+    /// processor's own rate, or Weibull of the same mean when a shape is
+    /// set (cell-level or per-processor override).
+    fn of_proc(proc: &dagchkpt_failure::Processor) -> Self {
+        match proc.shape {
+            Some(shape) if proc.lambda > 0.0 => FaultSource::Weibull {
+                scale: WeibullInjector::mtbf_scale(1.0 / proc.lambda, shape),
+                shape,
+            },
+            _ => FaultSource::Exp {
+                lambda: proc.lambda,
+            },
+        }
+    }
+
+    fn injector(&self, seed: u64) -> CellInjector {
+        match *self {
+            FaultSource::Exp { lambda } => {
+                CellInjector::Exp(ExponentialInjector::new(lambda, seed))
+            }
+            FaultSource::Weibull { scale, shape } => {
+                CellInjector::Weibull(WeibullInjector::new(scale, shape, seed))
+            }
+            FaultSource::Trace(times) => CellInjector::Trace(TraceInjector::new(times.to_vec())),
+        }
     }
 }
 
@@ -686,6 +712,10 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
     let hetero = resolve_hetero(plan, &wf, model).map_err(&ctx)?;
     let stream = tenant_stream(spec, plan, tinf).map_err(&ctx)?;
     let storage = spec.storage.resolve().map_err(&ctx)?;
+    let faults = FaultSource::of_cell(&plan.failure);
+    let proc_faults: Vec<FaultSource> = hetero.as_ref().map_or_else(Vec::new, |(platform, _)| {
+        platform.procs().iter().map(FaultSource::of_proc).collect()
+    });
     let mut rows = Vec::new();
     let mut schedules = Vec::new();
     let mut tenants = Vec::new();
@@ -753,7 +783,7 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                 &stream.jobs,
                 &stream.config,
                 TrialSpec::new(stream.trials, plan.seed),
-                |seed| make_injector(&plan.failure, seed),
+                |seed| faults.injector(seed),
             );
             for (names, t) in stream.names.iter().zip(&stats) {
                 tenants.push(TenantRow {
@@ -804,7 +834,7 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                             &out.schedule,
                             plan.failure.downtime(),
                             TrialSpec::new(trials, plan.seed),
-                            |seed| make_injector(&plan.failure, seed),
+                            |seed| faults.injector(seed),
                         ),
                         (Some((platform, _)), Some(sets)) => run_replicated_sets_trials_with(
                             &sim_wf,
@@ -812,7 +842,7 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                             platform,
                             sets,
                             TrialSpec::new(trials, plan.seed),
-                            |rank, seed| make_proc_injector(&platform.procs()[rank], seed),
+                            |rank, seed| proc_faults[rank].injector(seed),
                         ),
                         (Some((platform, degrees)), None) => run_replicated_trials_with(
                             &sim_wf,
@@ -820,7 +850,7 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                             platform,
                             degrees,
                             TrialSpec::new(trials, plan.seed),
-                            |rank, seed| make_proc_injector(&platform.procs()[rank], seed),
+                            |rank, seed| proc_faults[rank].injector(seed),
                         ),
                     };
                     (
@@ -848,60 +878,31 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                                 &out.schedule,
                                 cfg,
                                 tspec,
-                                |seed| make_injector(&plan.failure, seed),
+                                |seed| faults.injector(seed),
                             )
                         }
-                        (Some((platform, _)), Some(sets)) => {
-                            // One injector per used replica rank, indexed
-                            // by processor (like the set trial runner).
-                            let ranks = dagchkpt_core::replica_rank_count(sets);
-                            trial_metric_tail_stats(tspec, |i| {
-                                let mut injectors: Vec<CellInjector> = (0..ranks)
-                                    .map(|rank| {
-                                        make_proc_injector(
-                                            &platform.procs()[rank],
-                                            tspec.proc_seed(i, rank),
-                                        )
-                                    })
-                                    .collect();
-                                simulate_replicated_nonblocking_sets(
-                                    &sim_wf,
-                                    &out.schedule,
-                                    platform,
-                                    sets,
-                                    &mut injectors,
-                                    compute_rate,
-                                )
-                                .makespan
-                            })
-                        }
-                        (Some((platform, degrees)), None) => {
-                            // One injector per used replica rank (like the
-                            // blocking runner), not per platform processor.
-                            let ranks = degrees
-                                .iter()
-                                .map(|&d| d.clamp(1, platform.n_procs()))
-                                .max()
-                                .unwrap_or(1);
-                            trial_metric_tail_stats(tspec, |i| {
-                                let mut injectors: Vec<CellInjector> = (0..ranks)
-                                    .map(|rank| {
-                                        make_proc_injector(
-                                            &platform.procs()[rank],
-                                            tspec.proc_seed(i, rank),
-                                        )
-                                    })
-                                    .collect();
-                                simulate_replicated_nonblocking(
-                                    &sim_wf,
-                                    &out.schedule,
-                                    platform,
-                                    degrees,
-                                    &mut injectors,
-                                    compute_rate,
-                                )
-                                .makespan
-                            })
+                        (Some((platform, degrees)), sets) => {
+                            // A degree assignment is its prefix sets.
+                            let prefix_sets: Vec<Vec<usize>>;
+                            let sets = match sets {
+                                Some(sets) => sets,
+                                None => {
+                                    prefix_sets = degrees
+                                        .iter()
+                                        .map(|&d| (0..d.clamp(1, platform.n_procs())).collect())
+                                        .collect();
+                                    &prefix_sets
+                                }
+                            };
+                            run_replicated_nonblocking_trials_with(
+                                &sim_wf,
+                                &out.schedule,
+                                platform,
+                                sets,
+                                compute_rate,
+                                tspec,
+                                |rank, seed| proc_faults[rank].injector(seed),
+                            )
                         }
                     };
                     (

@@ -88,9 +88,15 @@ impl WeibullInjector {
     /// Creates a Weibull injector whose *mean* inter-arrival time matches
     /// `mtbf` for the given `shape` (scale = mtbf / Γ(1 + 1/shape)).
     pub fn with_mtbf(mtbf: f64, shape: f64, seed: u64) -> Self {
+        Self::new(Self::mtbf_scale(mtbf, shape), shape, seed)
+    }
+
+    /// The scale [`Self::with_mtbf`] calibrates: `mtbf / Γ(1 + 1/shape)`.
+    /// Callers building many injectors of one process compute it once and
+    /// use [`Self::new`] — the same value, so the same bits.
+    pub fn mtbf_scale(mtbf: f64, shape: f64) -> f64 {
         assert!(mtbf > 0.0 && shape > 0.0);
-        let scale = mtbf / gamma(1.0 + 1.0 / shape);
-        Self::new(scale, shape, seed)
+        mtbf / gamma(1.0 + 1.0 / shape)
     }
 }
 

@@ -34,6 +34,9 @@ pub mod tenant;
 pub mod timeline;
 pub mod trialplan;
 
+#[cfg(test)]
+mod differential_tests;
+
 pub use engine::{simulate, SimConfig, SimResult};
 pub use events::{Event, UnitKind};
 pub use memory::MemoryState;
@@ -48,9 +51,9 @@ pub use objective::McObjective;
 pub use plan::{recovery_plan, recovery_plan_with, PlanStep};
 pub use quantile::{QuantileSketch, TAIL_TARGETS};
 pub use replicated::{
-    run_replicated_sets_trials_with, run_replicated_trials_with, simulate_replicated,
-    simulate_replicated_nonblocking, simulate_replicated_nonblocking_sets,
-    simulate_replicated_planned, simulate_replicated_sets,
+    run_replicated_nonblocking_trials_with, run_replicated_sets_trials_with,
+    run_replicated_trials_with, simulate_replicated, simulate_replicated_nonblocking,
+    simulate_replicated_nonblocking_sets, simulate_replicated_planned, simulate_replicated_sets,
 };
 pub use stats::Stats;
 pub use tenant::{run_tenant_trials_with, TenantConfig, TenantJob, TenantPolicy, TenantStats};

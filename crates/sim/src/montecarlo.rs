@@ -10,7 +10,7 @@
 
 use crate::quantile::QuantileSketch;
 use crate::stats::Stats;
-use crate::trialplan::{simulate_planned, PlannedResult, TrialPlan, TrialScratch};
+use crate::trialplan::{simulate_planned, PlannedResult, TrialPlan};
 use dagchkpt_core::{Schedule, Workflow};
 use dagchkpt_failure::{ExponentialInjector, FaultInjector, FaultModel};
 use rayon::prelude::*;
@@ -355,9 +355,9 @@ pub fn run_trials(
 /// Generic trial runner: `make_injector(seed)` builds the fault source for
 /// each trial (exponential, Weibull, traces, …).
 ///
-/// Runs on the zero-allocation fast path: the [`TrialPlan`] is compiled
-/// once per call, each fold chunk gets one [`TrialScratch`], and every
-/// trial executes [`simulate_planned`] — bit-identical to the reference
+/// Runs on the zero-allocation fast path: the [`TrialPlan`] (recovery
+/// rows included) is compiled once per call and every trial executes
+/// [`simulate_planned`] on it — bit-identical to the reference
 /// [`crate::engine::simulate`] (see `trialplan`'s differential tests), so
 /// results are unchanged from the historical per-trial path.
 ///
@@ -378,10 +378,10 @@ where
     let plan = TrialPlan::compile(wf, schedule);
     planned_result_stats(
         spec,
-        || TrialScratch::new(plan.n_tasks()),
-        |scratch, i| {
+        || (),
+        |_, i| {
             let mut inj = make_injector(spec.trial_seed(i));
-            simulate_planned(&plan, scratch, &mut inj, downtime)
+            simulate_planned(&plan, &mut inj, downtime)
         },
     )
 }

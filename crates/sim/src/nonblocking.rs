@@ -37,7 +37,7 @@ use crate::montecarlo::{planned_metric_tail_stats, TrialSpec};
 use crate::plan::recovery_plan_with;
 use crate::quantile::QuantileSketch;
 use crate::stats::Stats;
-use crate::trialplan::{PlannedResult, TrialPlan, TrialScratch};
+use crate::trialplan::{PlannedResult, RowCursor, TrialPlan, TrialScratch};
 use dagchkpt_core::{Schedule, Workflow};
 use dagchkpt_dag::{FixedBitSet, NodeId};
 use dagchkpt_failure::FaultInjector;
@@ -250,14 +250,16 @@ pub fn simulate_nonblocking(
     st.res
 }
 
-/// Allocation-free twin of [`State`]: the bit set, write queue and result
+/// Allocation-free twin of [`State`]: the bit sets, write queue and result
 /// live in a caller-owned [`TrialScratch`], borrowed for one trial.
 struct PlannedNbState<'a> {
     t: f64,
     next_fault: f64,
     memory: &'a mut FixedBitSet,
     durable: &'a mut FixedBitSet,
-    writes: &'a mut VecDeque<(NodeId, f64)>,
+    /// `durable.count()`, kept up to date.
+    n_durable: u32,
+    writes: &'a mut VecDeque<(u32, f64)>,
     res: PlannedResult,
     injector: &'a mut dyn FaultInjector,
     downtime: f64,
@@ -312,8 +314,10 @@ impl PlannedNbState<'_> {
                 break;
             }
             left -= front.1;
-            let (task, _) = self.writes.pop_front().expect("front exists");
-            self.durable.insert(task.index());
+            let (pos, _) = self.writes.pop_front().expect("front exists");
+            if self.durable.insert(pos as usize) {
+                self.n_durable += 1;
+            }
         }
     }
 
@@ -331,6 +335,12 @@ impl PlannedNbState<'_> {
 /// `scratch` so the steady state performs no heap allocations. Bit-identical
 /// to [`simulate_nonblocking`] without a trace (pinned by a differential
 /// test below).
+///
+/// After a wipe at which every checkpointed task before the wipe position
+/// is durable, the blocking engine's compiled recovery row is exact and
+/// the engine reads it (see [`crate::trialplan`]); after any other wipe it
+/// tracks memory and runs the DFS for each block with an input from
+/// before the wipe.
 pub fn simulate_nonblocking_planned(
     plan: &TrialPlan,
     scratch: &mut TrialScratch,
@@ -356,6 +366,7 @@ pub fn simulate_nonblocking_planned(
         next_fault,
         memory,
         durable,
+        n_durable: 0,
         writes,
         res: PlannedResult::default(),
         injector,
@@ -363,40 +374,70 @@ pub fn simulate_nonblocking_planned(
         compute_rate: cfg.compute_rate,
     };
 
+    // Position of the block the last wipe struck (0 before the first
+    // fault: every input is resident), whether its blocking row is exact,
+    // and the cursor into that row. Restored tasks enter memory only while
+    // the row is not exact (the row accounts for them otherwise); every
+    // wipe clears memory, and only a wipe switches modes.
+    let mut wipe = 0usize;
+    let mut row_exact = true;
+    let mut row = RowCursor::default();
     for idx in 0..plan.n_tasks() {
-        let task = plan.order[idx];
-        let w = plan.work[task.index()];
-        'block: loop {
-            plan.fill_recovery(recovery, &*st.durable, &*st.memory, task);
-            let mut completed = true;
-            for si in 0..recovery.steps.len() {
-                let step = recovery.steps[si];
-                if !st.run_compute(step.duration, step.kind) {
-                    completed = false;
-                    break;
+        let w = plan.work[idx];
+        loop {
+            let completed = 'attempt: {
+                if row_exact {
+                    if let Some(e) = row.take(plan, idx) {
+                        for &p in plan.entry_steps(e) {
+                            let kind = if plan.checkpointed.contains(p as usize) {
+                                UnitKind::Recovery
+                            } else {
+                                UnitKind::Rework
+                            };
+                            if !st.run_compute(plan.restore_cost[p as usize], kind) {
+                                break 'attempt false;
+                            }
+                        }
+                    }
+                } else if plan.reads_before(idx, wipe) {
+                    // Memory holds every position from the wipe on.
+                    plan.fill_recovery(recovery, st.durable, wipe, |p| st.memory.contains(p), idx);
+                    for si in 0..recovery.steps.len() {
+                        let step = recovery.steps[si];
+                        let kind = if step.recover {
+                            UnitKind::Recovery
+                        } else {
+                            UnitKind::Rework
+                        };
+                        if !st.run_compute(plan.step_cost(step), kind) {
+                            break 'attempt false;
+                        }
+                        let p = step.pos as usize;
+                        st.memory.insert(p);
+                        // A re-executed task that the schedule wants
+                        // checkpointed lost its write in some earlier
+                        // fault: re-enqueue it.
+                        if !step.recover && plan.checkpointed.contains(p) && !st.durable.contains(p)
+                        {
+                            st.writes.push_back((step.pos, plan.ckpt_cost[p]));
+                        }
+                    }
                 }
-                st.memory.insert(step.task.index());
-                // A re-executed task that the schedule wants checkpointed
-                // lost its write in some earlier fault: re-enqueue it.
-                if step.kind == UnitKind::Rework
-                    && plan.checkpointed.contains(step.task.index())
-                    && !st.durable.contains(step.task.index())
-                {
-                    st.writes
-                        .push_back((step.task, plan.ckpt_cost[step.task.index()]));
+                if !st.run_compute(w, UnitKind::Work) {
+                    break 'attempt false;
                 }
+                st.memory.insert(idx);
+                if plan.checkpointed.contains(idx) {
+                    st.writes.push_back((idx as u32, plan.ckpt_cost[idx]));
+                }
+                true
+            };
+            if completed {
+                break;
             }
-            if !completed {
-                continue 'block;
-            }
-            if !st.run_compute(w, UnitKind::Work) {
-                continue 'block;
-            }
-            st.memory.insert(task.index());
-            if plan.checkpointed.contains(task.index()) {
-                st.writes.push_back((task, plan.ckpt_cost[task.index()]));
-            }
-            break 'block;
+            wipe = idx;
+            row_exact = st.n_durable == plan.ckpt_before[idx];
+            row = plan.row(idx);
         }
     }
 

@@ -86,6 +86,22 @@ pub fn recovery_plan_with(
         .collect()
 }
 
+/// Sums a recovery plan into its (rework, recovery) nominal amounts, in
+/// step order (the compiled recovery rows sum their plans the same way,
+/// so both produce the same bits).
+pub(crate) fn plan_amounts(plan: &[PlanStep]) -> (f64, f64) {
+    let mut rework = 0.0;
+    let mut recovery = 0.0;
+    for step in plan {
+        match step.kind {
+            UnitKind::Rework => rework += step.duration,
+            UnitKind::Recovery => recovery += step.duration,
+            _ => unreachable!("plans only recover or re-execute"),
+        }
+    }
+    (rework, recovery)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,6 +18,13 @@
 //! computed recovery plan. `n_faults` counts group failures — the event the
 //! analytic evaluator's `expected_faults` counts.
 //!
+//! A group failure wipes memory whole, exactly like a fault in the
+//! blocking engine, so [`simulate_replicated_planned`] reads each
+//! attempt's (rework, recovery) amounts from the compiled recovery row of
+//! the last wipe ([`crate::trialplan`]) instead of tracking memory. The
+//! non-blocking group engine stays on the reference path;
+//! [`run_replicated_nonblocking_trials_with`] is its trial runner.
+//!
 //! # Blocking vs non-blocking
 //!
 //! [`simulate_replicated`] folds the winner's checkpoint write into its
@@ -60,10 +67,12 @@
 use crate::engine::{simulate, SimConfig, SimResult};
 use crate::events::UnitKind;
 use crate::memory::MemoryState;
-use crate::montecarlo::{planned_result_stats, TrialSpec, TrialStats};
-use crate::nonblocking::{simulate_nonblocking, NonBlockingConfig};
-use crate::plan::{recovery_plan, recovery_plan_with, PlanStep};
-use crate::trialplan::{PlannedResult, TrialPlan, TrialScratch};
+use crate::montecarlo::{planned_metric_tail_stats, planned_result_stats, TrialSpec, TrialStats};
+use crate::nonblocking::{run_nonblocking_trials_with, simulate_nonblocking, NonBlockingConfig};
+use crate::plan::{plan_amounts, recovery_plan, recovery_plan_with};
+use crate::quantile::QuantileSketch;
+use crate::stats::Stats;
+use crate::trialplan::{PlannedResult, RowCursor, TrialPlan};
 use dagchkpt_core::{Schedule, Workflow};
 use dagchkpt_dag::{FixedBitSet, NodeId};
 use dagchkpt_failure::{FaultInjector, HeteroPlatform, Processor};
@@ -106,20 +115,6 @@ fn group_attempt<I: FaultInjector>(
         Some((elapsed, rank)) => Attempt::Success { rank, elapsed },
         None => Attempt::GroupFailure { elapsed: max_f },
     }
-}
-
-/// Sums a recovery plan into (rework, recovery) nominal amounts.
-fn plan_amounts(plan: &[PlanStep]) -> (f64, f64) {
-    let mut rework = 0.0;
-    let mut recovery = 0.0;
-    for step in plan {
-        match step.kind {
-            UnitKind::Rework => rework += step.duration,
-            UnitKind::Recovery => recovery += step.duration,
-            _ => unreachable!("plans only recover or re-execute"),
-        }
-    }
-    (rework, recovery)
 }
 
 fn empty_result() -> SimResult {
@@ -290,13 +285,12 @@ fn simulate_replicated_on<I: FaultInjector>(
 
 /// Zero-allocation twin of the blocking group engine: identical group
 /// attempts, pricing and accounting — bit-identical results (pinned by
-/// the differential test below) — but recovery plans fill the compiled
-/// `plan`'s scratch buffers instead of allocating, and no trace machinery
-/// exists. The trial runners share one [`TrialPlan`] across all threads
-/// and one [`TrialScratch`] per fold chunk.
+/// the differential test below) — but each attempt reads its (rework,
+/// recovery) amounts from the compiled `plan`'s recovery rows instead of
+/// tracking memory and building a plan, and no trace machinery exists.
+/// The trial runners share one [`TrialPlan`] across all threads.
 pub fn simulate_replicated_planned<I: FaultInjector>(
     plan: &TrialPlan,
-    scratch: &mut TrialScratch,
     platform: &HeteroPlatform,
     sets: &[&[usize]],
     injectors: &mut [I],
@@ -308,22 +302,18 @@ pub fn simulate_replicated_planned<I: FaultInjector>(
     let procs = platform.procs();
     let downtime = platform.downtime();
     let mut t = 0.0f64;
-    scratch.memory.clear();
     let mut res = PlannedResult::default();
 
+    let mut row = RowCursor::default();
     for idx in 0..plan.n_tasks() {
-        let task = plan.order[idx];
-        let set = sets[task.index()];
-        let w = plan.work[task.index()];
-        let c = plan.block_ckpt[task.index()];
+        let set = sets[plan.order[idx].index()];
+        let w = plan.work[idx];
+        let c = plan.block_ckpt[idx];
         loop {
-            plan.fill_recovery(
-                &mut scratch.recovery,
-                &plan.checkpointed,
-                &scratch.memory,
-                task,
-            );
-            let (rework, recovery) = plan_amounts(&scratch.recovery.steps);
+            let (rework, recovery) = row.take(plan, idx).map_or((0.0, 0.0), |e| {
+                let entry = plan.entry(e);
+                (entry.rework, entry.recovery)
+            });
             let attempt = group_attempt(procs, set, injectors, |p| {
                 (rework + w) / p.speed + recovery / p.read_bw + c / p.write_bw
             });
@@ -335,12 +325,6 @@ pub fn simulate_replicated_planned<I: FaultInjector>(
                     res.time_recovery += recovery / p.read_bw;
                     res.time_work += w / p.speed;
                     res.time_checkpoint += c / p.write_bw;
-                    for si in 0..scratch.recovery.steps.len() {
-                        scratch
-                            .memory
-                            .insert(scratch.recovery.steps[si].task.index());
-                    }
-                    scratch.memory.insert(task.index());
                     break;
                 }
                 Attempt::GroupFailure { elapsed } => {
@@ -348,7 +332,8 @@ pub fn simulate_replicated_planned<I: FaultInjector>(
                     res.time_wasted += elapsed;
                     res.time_downtime += downtime;
                     res.n_faults += 1;
-                    scratch.memory.clear();
+                    // The group failure wiped memory during this block.
+                    row = plan.row(idx);
                 }
             }
         }
@@ -569,9 +554,9 @@ where
 }
 
 /// Shared fast-path spine of both replicated runners: one compiled
-/// [`TrialPlan`] for all threads, and per fold chunk one scratch holding
-/// both the trial buffers and the reusable per-rank injector vector
-/// (`clear` + `extend` per trial — no per-trial allocation).
+/// [`TrialPlan`] for all threads, and per fold chunk one reusable per-rank
+/// injector vector (`clear` + `extend` per trial — no per-trial
+/// allocation).
 fn run_planned_replicated<I, F>(
     wf: &Workflow,
     schedule: &Schedule,
@@ -588,13 +573,24 @@ where
     let plan = TrialPlan::compile(wf, schedule);
     planned_result_stats(
         spec,
-        || (TrialScratch::new(plan.n_tasks()), Vec::with_capacity(ranks)),
-        |(scratch, injectors): &mut (TrialScratch, Vec<I>), i| {
-            injectors.clear();
-            injectors.extend((0..ranks).map(|rank| make_injector(rank, spec.proc_seed(i, rank))));
-            simulate_replicated_planned(&plan, scratch, platform, sets, injectors)
+        || Vec::with_capacity(ranks),
+        |injectors: &mut Vec<I>, i| {
+            fill_injectors(injectors, ranks, spec, i, &make_injector);
+            simulate_replicated_planned(&plan, platform, sets, injectors)
         },
     )
+}
+
+/// Refills `injectors` with trial `i`'s per-rank fault sources.
+fn fill_injectors<I>(
+    injectors: &mut Vec<I>,
+    ranks: usize,
+    spec: TrialSpec,
+    i: usize,
+    make_injector: &impl Fn(usize, u64) -> I,
+) {
+    injectors.clear();
+    injectors.extend((0..ranks).map(|rank| make_injector(rank, spec.proc_seed(i, rank))));
 }
 
 /// [`run_replicated_trials_with`] over explicit per-task replica sets —
@@ -630,6 +626,61 @@ where
     let ranks = dagchkpt_core::replica_rank_count(&sets);
     let refs: Vec<&[usize]> = sets.iter().map(|s| s.as_slice()).collect();
     run_planned_replicated(wf, schedule, platform, &refs, ranks, spec, make_injector)
+}
+
+/// Replicated **non-blocking** Monte-Carlo runner over explicit per-task
+/// replica sets (a degree assignment is the prefix sets `[0, …, r−1]`,
+/// which reproduce the degree engine draw for draw): makespan statistics
+/// and a tail sketch, aggregated like [`crate::run_nonblocking_trials_with`]
+/// — bit-identical for any thread count. Each fold chunk reuses one
+/// per-rank injector vector; the trials themselves still run the
+/// reference engine. The degenerate platform delegates to the homogeneous
+/// non-blocking runner bit for bit.
+pub fn run_replicated_nonblocking_trials_with<I, F>(
+    wf: &Workflow,
+    schedule: &Schedule,
+    platform: &HeteroPlatform,
+    sets: &[Vec<usize>],
+    compute_rate: f64,
+    spec: TrialSpec,
+    make_injector: F,
+) -> (Stats, QuantileSketch)
+where
+    I: FaultInjector + Send,
+    F: Fn(usize, u64) -> I + Sync,
+{
+    assert!(
+        compute_rate > 0.0 && compute_rate <= 1.0,
+        "compute_rate must be in (0, 1]"
+    );
+    assert_eq!(sets.len(), wf.n_tasks(), "one replica set per task");
+    let sets = normalized_sets(platform, sets);
+    if delegates_sets(platform, &sets) {
+        let cfg = NonBlockingConfig {
+            downtime: platform.downtime(),
+            compute_rate,
+            record_trace: false,
+        };
+        return run_nonblocking_trials_with(wf, schedule, cfg, spec, |seed| make_injector(0, seed));
+    }
+    let ranks = dagchkpt_core::replica_rank_count(&sets);
+    let refs: Vec<&[usize]> = sets.iter().map(|s| s.as_slice()).collect();
+    planned_metric_tail_stats(
+        spec,
+        || Vec::with_capacity(ranks),
+        |injectors: &mut Vec<I>, i| {
+            fill_injectors(injectors, ranks, spec, i, &make_injector);
+            simulate_replicated_nonblocking_on(
+                wf,
+                schedule,
+                platform,
+                &refs,
+                injectors,
+                compute_rate,
+            )
+            .makespan
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1142,7 +1193,6 @@ mod tests {
         let prefix: Vec<usize> = (0..2).collect();
         let sets: Vec<&[usize]> = degrees.iter().map(|&d| &prefix[..d]).collect();
         let plan = TrialPlan::compile(&wf, &s);
-        let mut scratch = TrialScratch::new(plan.n_tasks());
         let spec = TrialSpec::new(200, 41);
         let build = |i: usize| -> Vec<ExponentialInjector> {
             (0..2)
@@ -1153,8 +1203,7 @@ mod tests {
         };
         for i in 0..spec.trials {
             let reference = simulate_replicated(&wf, &s, &platform, &degrees, &mut build(i));
-            let fast =
-                simulate_replicated_planned(&plan, &mut scratch, &platform, &sets, &mut build(i));
+            let fast = simulate_replicated_planned(&plan, &platform, &sets, &mut build(i));
             assert_eq!(reference.makespan.to_bits(), fast.makespan.to_bits());
             assert_eq!(reference.n_faults, fast.n_faults);
             for (a, b) in [

@@ -27,7 +27,7 @@
 use crate::montecarlo::{fold_sequential_chunk_states, TrialSpec};
 use crate::quantile::QuantileSketch;
 use crate::stats::Stats;
-use crate::trialplan::{simulate_planned, TrialPlan, TrialScratch};
+use crate::trialplan::{simulate_planned, TrialPlan};
 use dagchkpt_core::{Schedule, Workflow};
 use dagchkpt_failure::FaultInjector;
 use rayon::prelude::*;
@@ -378,28 +378,27 @@ where
     assert!(!config.speeds.is_empty(), "need at least one processor");
     let n_tenants = config.weights.len();
     let plan = TrialPlan::compile(wf, schedule);
-    // Per-chunk scratch: the compiled-plan simulator arena, the service
-    // buffer, the stream-replay buffers, and the accumulator itself — all
-    // reused trial after trial within a chunk.
+    // Per-chunk scratch: the service buffer, the stream-replay buffers,
+    // and the accumulator itself — all reused trial after trial within a
+    // chunk.
     let init = || {
         (
-            TrialScratch::new(plan.n_tasks()),
             Vec::<f64>::with_capacity(jobs.len()),
             StreamScratch::new(jobs.len(), config.speeds.len(), n_tenants),
             StreamAccum::identity(n_tenants),
         )
     };
-    let step = |state: &mut (TrialScratch, Vec<f64>, StreamScratch, StreamAccum), i: usize| {
-        let (sim_scratch, services, stream, accum) = state;
+    let step = |state: &mut (Vec<f64>, StreamScratch, StreamAccum), i: usize| {
+        let (services, stream, accum) = state;
         services.clear();
         services.extend((0..jobs.len()).map(|j| {
             let mut inj = make_injector(spec.proc_seed(i, j));
-            simulate_planned(&plan, sim_scratch, &mut inj, config.downtime).makespan
+            simulate_planned(&plan, &mut inj, config.downtime).makespan
         }));
         run_stream_into(jobs, config, services, stream);
         accum.push(&stream.outcomes, &config.deadlines);
     };
-    let finish = |state: (TrialScratch, Vec<f64>, StreamScratch, StreamAccum)| state.3;
+    let finish = |state: (Vec<f64>, StreamScratch, StreamAccum)| state.2;
     let identity = || StreamAccum::identity(n_tenants);
     if spec.parallel {
         (0..spec.trials)

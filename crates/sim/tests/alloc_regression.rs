@@ -5,8 +5,9 @@
 //!
 //! 1. **zero steady-state heap allocations per trial** — once the plan is
 //!    compiled and the per-worker scratch arena is warm, running more
-//!    trials must never touch the allocator (blocking, non-blocking and
-//!    replicated engines alike);
+//!    trials must never touch the allocator (blocking, non-blocking,
+//!    replicated and tenant engines alike, on a chain and on a
+//!    fault-heavy grid whose recoveries are multi-step);
 //! 2. **exactly one plan compile per campaign** — each public runner
 //!    flattens the `(workflow, schedule)` pair once and shares it across
 //!    every trial of every worker.
@@ -69,109 +70,181 @@ fn alloc_count() -> u64 {
 }
 
 fn fixture(n: usize, every: usize) -> (Workflow, Schedule) {
-    let wf = Workflow::uniform(generators::chain(n), 9.0, 1.1);
+    with_checkpoints(Workflow::uniform(generators::chain(n), 9.0, 1.1), every)
+}
+
+fn with_checkpoints(wf: Workflow, every: usize) -> (Workflow, Schedule) {
+    let n = wf.n_tasks();
     let order = topo::topological_order(wf.dag());
     let ckpt = FixedBitSet::from_indices(n, (0..n).filter(|i| i % every == 0));
     let s = Schedule::new(&wf, order, ckpt).unwrap();
     (wf, s)
 }
 
+/// The fixtures each steady-state test runs, with their fault rates: a
+/// chain (recoveries never walk past one predecessor) and a 5 × 8 grid at
+/// λ·W ≈ 3, where post-fault recoveries are multi-step plans and
+/// non-blocking trials lose writes they need later.
+fn fixtures(chain_n: usize, every: usize) -> Vec<(&'static str, Workflow, Schedule, f64)> {
+    let (chain_wf, chain_s) = fixture(chain_n, every);
+    let grid = Workflow::uniform(generators::grid(5, 8), 9.0, 1.1);
+    let lambda = 3.0 / grid.total_work();
+    let (grid_wf, grid_s) = with_checkpoints(grid, 3);
+    vec![
+        ("chain", chain_wf, chain_s, 6e-3),
+        ("grid", grid_wf, grid_s, lambda),
+    ]
+}
+
 #[test]
 fn blocking_trials_make_zero_steady_state_allocations() {
     let _guard = SERIAL.lock().unwrap();
-    let (wf, s) = fixture(40, 3);
-    let plan = TrialPlan::compile(&wf, &s);
-    let mut scratch = TrialScratch::new(plan.n_tasks());
-    let mut sink = 0.0f64;
-    // Warm the arena across enough fault patterns to reach steady state.
-    for seed in 0..64u64 {
-        let mut inj = ExponentialInjector::new(6e-3, seed);
-        sink += simulate_planned(&plan, &mut scratch, &mut inj, 1.5).makespan;
+    for (name, wf, s, lambda) in fixtures(40, 3) {
+        let plan = TrialPlan::compile(&wf, &s);
+        let mut sink = 0.0f64;
+        // Warm up across enough fault patterns to reach steady state.
+        for seed in 0..64u64 {
+            let mut inj = ExponentialInjector::new(lambda, seed);
+            sink += simulate_planned(&plan, &mut inj, 1.5).makespan;
+        }
+        let before = alloc_count();
+        for seed in 64..320u64 {
+            let mut inj = ExponentialInjector::new(lambda, seed);
+            sink += simulate_planned(&plan, &mut inj, 1.5).makespan;
+        }
+        let delta = alloc_count() - before;
+        assert_eq!(
+            delta, 0,
+            "{name}: blocking fast path allocated {delta} times over 256 trials"
+        );
+        assert!(sink.is_finite());
     }
-    let before = alloc_count();
-    for seed in 64..320u64 {
-        let mut inj = ExponentialInjector::new(6e-3, seed);
-        sink += simulate_planned(&plan, &mut scratch, &mut inj, 1.5).makespan;
-    }
-    let delta = alloc_count() - before;
-    assert_eq!(
-        delta, 0,
-        "blocking fast path allocated {delta} times over 256 trials"
-    );
-    assert!(sink.is_finite());
 }
 
 #[test]
 fn nonblocking_trials_make_zero_steady_state_allocations() {
     let _guard = SERIAL.lock().unwrap();
-    let (wf, s) = fixture(40, 3);
-    let plan = TrialPlan::compile(&wf, &s);
-    let mut scratch = TrialScratch::new(plan.n_tasks());
-    let cfg = NonBlockingConfig {
-        downtime: 1.5,
-        compute_rate: 0.7,
-        record_trace: false,
-    };
-    let mut sink = 0.0f64;
-    for seed in 0..64u64 {
-        let mut inj = ExponentialInjector::new(6e-3, seed);
-        sink += simulate_nonblocking_planned(&plan, &mut scratch, &mut inj, cfg).makespan;
+    for (name, wf, s, lambda) in fixtures(40, 3) {
+        let plan = TrialPlan::compile(&wf, &s);
+        let mut scratch = TrialScratch::new(plan.n_tasks());
+        let cfg = NonBlockingConfig {
+            downtime: 1.5,
+            compute_rate: 0.7,
+            record_trace: false,
+        };
+        let mut sink = 0.0f64;
+        for seed in 0..64u64 {
+            let mut inj = ExponentialInjector::new(lambda, seed);
+            sink += simulate_nonblocking_planned(&plan, &mut scratch, &mut inj, cfg).makespan;
+        }
+        let before = alloc_count();
+        for seed in 64..320u64 {
+            let mut inj = ExponentialInjector::new(lambda, seed);
+            sink += simulate_nonblocking_planned(&plan, &mut scratch, &mut inj, cfg).makespan;
+        }
+        let delta = alloc_count() - before;
+        assert_eq!(
+            delta, 0,
+            "{name}: non-blocking fast path allocated {delta} times over 256 trials"
+        );
+        assert!(sink.is_finite());
     }
-    let before = alloc_count();
-    for seed in 64..320u64 {
-        let mut inj = ExponentialInjector::new(6e-3, seed);
-        sink += simulate_nonblocking_planned(&plan, &mut scratch, &mut inj, cfg).makespan;
-    }
-    let delta = alloc_count() - before;
-    assert_eq!(
-        delta, 0,
-        "non-blocking fast path allocated {delta} times over 256 trials"
-    );
-    assert!(sink.is_finite());
+}
+
+fn hetero2(lambda: f64) -> HeteroPlatform {
+    HeteroPlatform::new(
+        vec![
+            Processor {
+                speed: 2.0,
+                ..Processor::reference(lambda)
+            },
+            Processor::reference(lambda / 4.0),
+        ],
+        1.0,
+    )
+    .unwrap()
 }
 
 #[test]
 fn replicated_trials_make_zero_steady_state_allocations() {
     let _guard = SERIAL.lock().unwrap();
-    let (wf, s) = fixture(24, 2);
-    let platform = HeteroPlatform::new(
-        vec![
-            Processor {
-                speed: 2.0,
-                ..Processor::reference(4e-3)
-            },
-            Processor::reference(1e-3),
-        ],
-        1.0,
-    )
-    .unwrap();
-    let prefix: Vec<usize> = (0..2).collect();
-    let sets: Vec<&[usize]> = (0..24).map(|i| &prefix[..1 + i % 2]).collect();
-    let plan = TrialPlan::compile(&wf, &s);
-    let mut scratch = TrialScratch::new(plan.n_tasks());
-    let mut injectors: Vec<ExponentialInjector> = Vec::with_capacity(2);
-    let spec = TrialSpec::new(320, 5);
-    let run = |i: usize, scratch: &mut TrialScratch, injectors: &mut Vec<ExponentialInjector>| {
-        injectors.clear();
-        injectors.extend((0..2).map(|rank| {
-            ExponentialInjector::new(platform.procs()[rank].lambda, spec.proc_seed(i, rank))
-        }));
-        simulate_replicated_planned(&plan, scratch, &platform, &sets, injectors).makespan
-    };
-    let mut sink = 0.0f64;
-    for i in 0..64 {
-        sink += run(i, &mut scratch, &mut injectors);
+    for (name, wf, s, lambda) in fixtures(24, 2) {
+        let n = wf.n_tasks();
+        let platform = hetero2(lambda);
+        let prefix: Vec<usize> = (0..2).collect();
+        let sets: Vec<&[usize]> = (0..n).map(|i| &prefix[..1 + i % 2]).collect();
+        let plan = TrialPlan::compile(&wf, &s);
+        let mut injectors: Vec<ExponentialInjector> = Vec::with_capacity(2);
+        let spec = TrialSpec::new(320, 5);
+        let run = |i: usize, injectors: &mut Vec<ExponentialInjector>| {
+            injectors.clear();
+            injectors.extend((0..2).map(|rank| {
+                ExponentialInjector::new(platform.procs()[rank].lambda, spec.proc_seed(i, rank))
+            }));
+            simulate_replicated_planned(&plan, &platform, &sets, injectors).makespan
+        };
+        let mut sink = 0.0f64;
+        for i in 0..64 {
+            sink += run(i, &mut injectors);
+        }
+        let before = alloc_count();
+        for i in 64..320 {
+            sink += run(i, &mut injectors);
+        }
+        let delta = alloc_count() - before;
+        assert_eq!(
+            delta, 0,
+            "{name}: replicated fast path allocated {delta} times over 256 trials"
+        );
+        assert!(sink.is_finite());
     }
-    let before = alloc_count();
-    for i in 64..320 {
-        sink += run(i, &mut scratch, &mut injectors);
+}
+
+/// The tenant engine's per-trial work (one planned trial per job, the
+/// stream replay, the accumulator push) allocates nothing: on the
+/// sequential path a campaign's allocations are per fold chunk and per
+/// merge, and the chunk count is fixed, so 4× the trials costs exactly as
+/// many allocations.
+#[test]
+fn tenant_trials_make_zero_steady_state_allocations() {
+    let _guard = SERIAL.lock().unwrap();
+    for (name, wf, s, lambda) in fixtures(24, 3) {
+        let jobs: Vec<TenantJob> = (0..6)
+            .map(|k| TenantJob {
+                arrival: 40.0 * k as f64,
+                tenant: k % 3,
+            })
+            .collect();
+        let config = TenantConfig {
+            speeds: vec![1.0, 1.5],
+            downtime: 1.0,
+            policy: TenantPolicy::FairShare,
+            weights: vec![3.0, 2.0, 1.0],
+            deadlines: vec![400.0, 800.0, f64::INFINITY],
+        };
+        let campaign_allocs = |trials: usize| {
+            let before = alloc_count();
+            let stats = run_tenant_trials_with(
+                &wf,
+                &s,
+                &jobs,
+                &config,
+                TrialSpec::sequential(trials, 13),
+                |seed| ExponentialInjector::new(lambda, seed),
+            );
+            let delta = alloc_count() - before;
+            assert!(stats.iter().all(|t| t.jobs > 0));
+            delta
+        };
+        let small = campaign_allocs(64 * 8);
+        let large = campaign_allocs(64 * 32);
+        assert_eq!(
+            small,
+            large,
+            "{name}: tenant trials allocated {} times per 1536 extra trials",
+            large.abs_diff(small)
+        );
     }
-    let delta = alloc_count() - before;
-    assert_eq!(
-        delta, 0,
-        "replicated fast path allocated {delta} times over 256 trials"
-    );
-    assert!(sink.is_finite());
 }
 
 /// Every public campaign runner compiles its trial plan exactly once,

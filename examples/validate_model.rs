@@ -55,8 +55,9 @@ fn main() {
     let r = run_heuristic(&wf, model, h, SweepPolicy::Exhaustive);
     println!("exponential analytic: {:.1} s", r.expected_makespan);
     for shape in [0.5, 1.0, 2.0] {
+        let scale = WeibullInjector::mtbf_scale(1.0 / lambda, shape);
         let stats = run_trials_with(&wf, &r.schedule, 0.0, TrialSpec::new(trials, 5), |seed| {
-            WeibullInjector::with_mtbf(1.0 / lambda, shape, seed)
+            WeibullInjector::new(scale, shape, seed)
         });
         println!(
             "  shape {shape:>3}: MC mean {:>10.1} s ({:+.1}% vs exponential analytic)",

@@ -285,9 +285,9 @@ fn simulate_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
         None => run_trials(&wf, &schedule, model, spec),
         Some(sh) => {
             let shape = parse_f64(sh, "weibull shape")?;
-            let mtbf = model.mtbf();
+            let scale = WeibullInjector::mtbf_scale(model.mtbf(), shape);
             run_trials_with(&wf, &schedule, model.downtime(), spec, move |s| {
-                WeibullInjector::with_mtbf(mtbf, shape, s)
+                WeibullInjector::new(scale, shape, s)
             })
         }
     };
