@@ -12,17 +12,26 @@
 //! **bit-identical** winners (asserted here before timing; the unit tests
 //! of `dagchkpt-core` pin both paths to the uncached reference oracle).
 //!
+//! Two proxy-sweep rows time the homogeneous Theorem-3 sweep per
+//! candidate: `CkptPer` on the same 200-task CyberShake (several flags
+//! change per budget, so each candidate resumes from its first reached
+//! flip), and DF-CkptW on a 700-task CyberShake (the depth-first
+//! linearization with the heaviest-first ranked budgets of the paper's
+//! largest figure size).
+//!
 //! Besides the criterion table, this bench emits `BENCH_optimizer.json`
-//! (working directory) with the measured means and the speedup, so CI and
-//! tooling can track the hot path without parsing the table.
+//! (working directory) with the measured means, the speedup and the
+//! proxy rows' microseconds per candidate, so CI and tooling can track
+//! the hot path without parsing the table.
 
 use criterion::{criterion_group, Criterion};
 use dagchkpt_core::{
-    optimize_checkpoints_with, CheckpointStrategy, CostRule, LinearizationStrategy, Objective,
-    OptimizedSchedule, ReplicatedEvaluator, Schedule, SweepPolicy, Workflow,
+    optimize_checkpoints, optimize_checkpoints_with, CheckpointStrategy, CostRule,
+    LinearizationStrategy, Objective, OptimizedSchedule, ReplicatedEvaluator, Schedule,
+    SweepPolicy, Workflow,
 };
 use dagchkpt_dag::NodeId;
-use dagchkpt_failure::{HeteroPlatform, Processor};
+use dagchkpt_failure::{FaultModel, HeteroPlatform, Processor};
 use dagchkpt_workflows::PegasusKind;
 use std::time::Instant;
 
@@ -118,7 +127,57 @@ fn bench_sweep_replicated(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sweep_replicated);
+/// One proxy-sweep row: a CyberShake workflow of `n` tasks under the
+/// depth-first linearization and the paper's default failure rate.
+struct ProxyRow {
+    name: &'static str,
+    wf: Workflow,
+    order: Vec<NodeId>,
+    strategy: CheckpointStrategy,
+}
+
+impl ProxyRow {
+    fn new(name: &'static str, n: usize, strategy: CheckpointStrategy) -> Self {
+        let wf =
+            PegasusKind::CyberShake.generate(n, CostRule::ProportionalToWork { ratio: 0.1 }, 9);
+        let order = dagchkpt_core::linearize(&wf, LinearizationStrategy::DepthFirst);
+        ProxyRow {
+            name,
+            wf,
+            order,
+            strategy,
+        }
+    }
+
+    fn sweep(&self) -> OptimizedSchedule {
+        let model = FaultModel::new(PegasusKind::CyberShake.default_lambda(), 0.0);
+        optimize_checkpoints(
+            &self.wf,
+            model,
+            &self.order,
+            self.strategy,
+            SweepPolicy::Exhaustive,
+        )
+    }
+}
+
+fn proxy_rows() -> [ProxyRow; 2] {
+    [
+        ProxyRow::new("ckpt_per_n200", N_TASKS, CheckpointStrategy::Periodic),
+        ProxyRow::new("df_ckptw_n700", 700, CheckpointStrategy::ByDecreasingWork),
+    ]
+}
+
+fn bench_sweep_proxy(c: &mut Criterion) {
+    let mut g = c.benchmark_group("optimizer/sweep_proxy");
+    g.sample_size(10);
+    for row in proxy_rows() {
+        g.bench_function(row.name, |bch| bch.iter(|| row.sweep()));
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_sweep_replicated, bench_sweep_proxy);
 
 fn main() {
     benches();
@@ -128,13 +187,23 @@ fn main() {
     let (wf, order, platform, degrees) = setup();
     let resumed = mean_ns(3, || sweep(&wf, &order, &platform, &degrees, true));
     let fresh = mean_ns(3, || sweep(&wf, &order, &platform, &degrees, false));
+    let mut proxy = String::new();
+    for row in proxy_rows() {
+        let candidates = row.sweep().evaluated as f64;
+        let us = mean_ns(3, || row.sweep()) / 1e3 / candidates;
+        println!(
+            "optimizer/sweep_proxy/{}: {us:.1} us per candidate",
+            row.name
+        );
+        proxy.push_str(&format!("  \"{}_us_per_candidate\": {us:.2},\n", row.name));
+    }
     let json = format!(
         "{{\n  \"bench\": \"optimizer/sweep_replicated\",\n  \
          \"workflow\": \"CyberShake\",\n  \"n_tasks\": {N_TASKS},\n  \
          \"n_procs\": {},\n  \"replication_degree\": 2,\n  \
          \"resumed_mean_ns\": {resumed:.0},\n  \
-         \"fresh_mean_ns\": {fresh:.0},\n  \"speedup\": {:.3},\n  \
-         \"bit_identical\": true\n}}\n",
+         \"fresh_mean_ns\": {fresh:.0},\n  \"speedup\": {:.3},\n\
+         {proxy}  \"bit_identical\": true\n}}\n",
         platform.n_procs(),
         fresh / resumed
     );

@@ -37,12 +37,15 @@
 //! for cross-validation and for the complexity ablation benchmark.
 //!
 //! [`evaluate`] runs on the compiled path of [`plan`]: an [`EvalPlan`]
-//! (position-indexed costs and predecessor lists) and an [`EvalScratch`]
-//! that keeps one `(n+1)²` matrix `A = W + R`, the `P(Z^i_k)` rows and
-//! per-row prefix sums. A budget sweep reuses one scratch per worker: a
-//! candidate whose flags first differ from the previous one at position
-//! `p` recomputes only the `n − p` columns `k > p` and the rows `i ≥ p`,
-//! i.e. `O((n − p)(n + |E|))` instead of `O(n(n + |E|))`, with no heap
+//! (position-indexed costs, predecessor lists and each position's first
+//! predecessor) and an [`EvalScratch`] that keeps the lower-triangular
+//! matrix `A = W + R`, the `P(Z^i_k)` rows, per-row prefix sums and, per
+//! lost-set column, the row that first reached each position. A budget
+//! sweep reuses one scratch per worker: a candidate recomputes, in each
+//! column, only the rows from the first one that reached a changed flag
+//! (a column no changed flag was reached in is skipped), and reassembles
+//! the rows from its first changed position on — at most
+//! `O((n − p)(n + |E|))` instead of `O(n(n + |E|))`, with no heap
 //! allocation. Along each assembly row, runs of bitwise-equal `A[i][k]`
 //! share their transcendentals. [`recovery::RecoveryMatrices::compute`]
 //! plus the shared assembly stay as the reference oracle; the two paths
@@ -261,19 +264,72 @@ pub(crate) mod test_support {
         (wf, order)
     }
 
-    /// The candidate sequences a sweep produces, plus adversarial ones.
-    pub(crate) fn sequences(rng: &mut SmallRng, n: usize) -> Vec<Vec<bool>> {
+    /// The candidate sequences a sweep produces on `wf` under `order`, plus
+    /// adversarial ones for the first-visit resume: nested budgets in
+    /// order and in the far jumps of a stolen sweep range, real `CkptPer`
+    /// candidates, flips first reached deep in their columns, a flip and
+    /// its revert, periodic patterns, and arbitrary flips with repeats.
+    pub(crate) fn sequences(rng: &mut SmallRng, wf: &Workflow, order: &[NodeId]) -> Vec<Vec<bool>> {
+        let n = order.len();
         let mut seqs = Vec::new();
         // Nested: one more flag per step, in a random rank order.
         let mut rank: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
             rank.swap(i, rng.gen_range(0..=i));
         }
-        let mut flags = vec![false; n];
+        let nested = |budget: usize| {
+            let mut flags = vec![false; n];
+            for &p in &rank[..budget] {
+                flags[p] = true;
+            }
+            flags
+        };
+        seqs.extend((0..=n).map(nested));
+        // A stolen range: a worker's own front, then a far jump to the
+        // upper half of another range, then back down.
+        for budget in [0, 1, 3 * n / 4, 3 * n / 4 + 1, 2, n, n / 2, 0] {
+            seqs.push(nested(budget.min(n)));
+        }
+        // Real `CkptPer` candidates (multi-flip steps), in sweep order and
+        // jumping from the top budget back to the bottom.
+        let ckpt_per = |budget: usize| {
+            let set = crate::strategies::periodic_set(wf, order, budget);
+            order.iter().map(|t| set.contains(t.index())).collect()
+        };
+        seqs.extend((0..=n).map(ckpt_per));
+        seqs.extend([n, 1, n / 3, n].map(ckpt_per));
+        // Deep first visits: toggle the positions whose first consumer sits
+        // furthest down the order (in each column they are first reached
+        // by a late row), one at a time and then back.
+        let mut pos = vec![0usize; n];
+        for (p, t) in order.iter().enumerate() {
+            pos[t.index()] = p;
+        }
+        let mut gap: Vec<(usize, usize)> = (0..n)
+            .map(|p| {
+                let first_consumer = wf
+                    .dag()
+                    .succs(order[p])
+                    .iter()
+                    .map(|s| pos[s.index()])
+                    .min();
+                (first_consumer.map_or(0, |c| c - p), p)
+            })
+            .collect();
+        gap.sort_unstable_by(|a, b| b.cmp(a));
+        let mut flags: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.3)).collect();
         seqs.push(flags.clone());
-        for &p in &rank {
-            flags[p] = true;
+        for &(_, p) in gap.iter().take(4) {
+            flags[p] = !flags[p];
             seqs.push(flags.clone());
+        }
+        // A flip and its revert at one position.
+        if n > 0 {
+            let p = rng.gen_range(0..n);
+            for _ in 0..2 {
+                flags[p] = !flags[p];
+                seqs.push(flags.clone());
+            }
         }
         // Periodic-like: every `step`-th position, for growing `step`.
         for step in 1..=n.min(6) {

@@ -4,28 +4,46 @@
 //! The arithmetic is exactly that of [`RecoveryMatrices::compute`] +
 //! [`super::assemble`] — same operations, same accumulation order — so
 //! every value is **bit-identical** to that reference oracle (pinned by
-//! the property tests below). Two exact savings make a checkpoint-budget
+//! the property tests below). Four exact savings make a checkpoint-budget
 //! sweep cheap:
 //!
-//! * **Resume.** The lost-set column `k` of `A = W + R` depends only on the
-//!   checkpoint flags of positions `< k`, and assembly row `i` only on
-//!   columns `≤ i` and the flags of positions `i − 1` and `i`. A candidate
-//!   whose flags first differ from the previous candidate's at position
-//!   `p` therefore recomputes only columns `k > p` and rows `i ≥ p`,
+//! * **First-visit resume.** Lost-set column `k` of `A = W + R` runs one
+//!   DFS per row `i ≥ k`, and a position's checkpoint flag (or recovery
+//!   cost) is read only when the DFS first reaches it. `LostSets` keeps,
+//!   per column, the row that first reached each position `j < k` under
+//!   the last evaluated flags (`seen`). When the positions `D` change, a
+//!   column `k` restarts at `i*`, the smallest row that reached any
+//!   `q ∈ D` with `q < k`: rows before `i*` never touched a changed
+//!   position, so their DFS, marks and sums are unchanged. Marks `≥ i*`
+//!   are cleared and rows `i*..=n` rerun. A column no changed position
+//!   was reached in is skipped outright. Ranked budgets are nested, so
+//!   consecutive candidates differ in one flag; `CkptPer` candidates and
+//!   the far jumps of a stolen sweep range follow the same rule.
+//! * **Inactive rows.** [`EvalPlan`] stores each position's smallest
+//!   predecessor position. In column `k`, a row whose predecessors all
+//!   sit at `≥ k` has an empty lost set under any flags: its DFS is
+//!   skipped, and its matrix entry keeps the 0 it was allocated with.
+//!   Positions `≥ k` are never marked (they never affect a result).
+//! * **Assembly resume.** Assembly row `i` reads only columns `≤ i` and
+//!   the flags of positions `i − 1` and `i`, so a candidate whose flags
+//!   first differ at position `p` reassembles rows `i ≥ p` only,
 //!   continuing from the saved `P(Z^p_k)` row and the prefix sums of row
-//!   `p − 1`. Ranked budgets are nested, so consecutive candidates differ
-//!   in exactly one flag.
+//!   `p − 1`.
 //! * **Run-length reuse.** Along a row, every per-`k` factor
 //!   (`E[t(·)]`, both fault-count factors, and the next row's
-//!   `e^{−λS}`) is a function of `A[i][k]` alone. Consecutive `k` with
-//!   bitwise-equal `A[i][k]` reuse them; only the products and sums run
-//!   per `k`, in the original order. On Pegasus shapes the lost sets are
-//!   mostly empty, so only a few percent of `(i, k)` pairs need fresh
-//!   transcendentals.
+//!   `e^{−λS}`) is a function of `A[i][k]` alone. The row is split into
+//!   runs of bitwise-equal `A[i][k]`, each run pays three
+//!   transcendentals, and only the products and sums run per `k`, in the
+//!   original order. On Pegasus shapes the lost sets are mostly empty, so
+//!   only a few percent of `(i, k)` pairs need fresh transcendentals.
+//!
+//! Every matrix (`A`, `P(Z)`, and the first-visit marks) is stored
+//! lower-triangular, row `i` starting at `tri(i)`, so a scratch holds about
+//! `(n + 1)²` floats and half as many marks.
 //!
 //! The plan also serves the replication-aware scratch of
-//! [`super::replicated`], which shares [`lost_set_columns`] and resumes by
-//! the same rules.
+//! [`super::replicated`], which runs the same `LostSets` DFS and resumes
+//! by the same rules.
 //!
 //! After [`EvalScratch::new`], evaluating a candidate never allocates.
 //!
@@ -54,6 +72,9 @@ pub struct EvalPlan {
     /// (which fixes the DFS visiting order, hence the summation order).
     pred_start: Vec<u32>,
     preds: Vec<u32>,
+    /// Smallest predecessor position of each position (`u32::MAX` for a
+    /// source): row `i` of column `k` is inactive when `first_pred[i] ≥ k`.
+    first_pred: Vec<u32>,
 }
 
 impl EvalPlan {
@@ -72,6 +93,7 @@ impl EvalPlan {
         let mut w = vec![0.0f64; n + 1];
         let mut c = vec![0.0f64; n + 1];
         let mut r = vec![0.0f64; n + 1];
+        let mut first_pred = vec![u32::MAX; n + 1];
         let mut pred_start = Vec::with_capacity(n + 2);
         pred_start.extend([0, 0]);
         let mut preds = Vec::new();
@@ -82,6 +104,11 @@ impl EvalPlan {
             r[i] = wf.recovery_cost(t);
             preds.extend(wf.dag().preds(t).iter().map(|p| pos[p.index()]));
             pred_start.push(preds.len() as u32);
+            first_pred[i] = preds[pred_start[i] as usize..]
+                .iter()
+                .copied()
+                .min()
+                .unwrap_or(u32::MAX);
         }
         EvalPlan {
             n,
@@ -92,6 +119,7 @@ impl EvalPlan {
             r,
             pred_start,
             preds,
+            first_pred,
         }
     }
 
@@ -128,34 +156,97 @@ impl EvalPlan {
     }
 }
 
-/// Recomputes the lost-set columns `k_from..=n` under the checkpoint flags
-/// `ckpt` and the per-position recovery costs `r` (both 1-based), handing
-/// each `(i, k, W^i_k, R^i_k)` to `store` (see [`super::recovery`] for the
-/// mark-array semantics). The one DFS behind both compiled scratches.
-pub(super) fn lost_set_columns(
-    plan: &EvalPlan,
-    r: &[f64],
-    ckpt: &[bool],
-    k_from: usize,
-    mark: &mut [u32],
-    stack: &mut Vec<u32>,
-    mut store: impl FnMut(usize, usize, f64, f64),
-) {
-    let n = plan.n;
-    for k in k_from..=n {
-        mark.fill(0);
-        for i in k..=n {
-            let mut wi = 0.0f64;
-            let mut ri = 0.0f64;
-            stack.push(i as u32);
-            while let Some(t) = stack.pop() {
-                for &j in plan.preds_of(t as usize) {
-                    let j = j as usize;
-                    if mark[j] != 0 {
-                        continue;
+/// Start of row `i` in a lower-triangular matrix stored row by row (row
+/// `i` holds columns `0..=i`).
+#[inline]
+pub(super) fn tri(i: usize) -> usize {
+    i * (i + 1) / 2
+}
+
+/// The resumable lost-set DFS behind both compiled scratches: the
+/// first-visit marks of every column under the last computed flags (see
+/// the module docs).
+#[derive(Debug, Clone)]
+pub(super) struct LostSets {
+    /// `seen[tri(k) + j]` for `1 ≤ j < k`: the row that first reached
+    /// position `j` in column `k` (0 = none). For rows after it, a marked
+    /// position is in memory; within its row, it is already counted.
+    seen: Vec<u32>,
+    stack: Vec<u32>,
+    /// Whether `seen` describes the last computed flags (false until the
+    /// first update).
+    warm: bool,
+}
+
+impl LostSets {
+    /// Marks for an `n`-position plan, every column unvisited.
+    pub(super) fn new(n: usize) -> Self {
+        LostSets {
+            seen: vec![0u32; tri(n + 1)],
+            stack: Vec::with_capacity(n + 1),
+            warm: false,
+        }
+    }
+
+    /// Brings the lost-set columns up to date with the checkpoint flags
+    /// `ckpt` and the recovery costs `r` (both 1-based), handing each
+    /// recomputed `(i, k, W^i_k, R^i_k)` to `store`; entries it does not
+    /// hand over are unchanged (inactive ones are 0). `changed` lists, in
+    /// ascending order, the positions whose flag or recovery cost changed
+    /// since the last update; the first update computes every column.
+    pub(super) fn update(
+        &mut self,
+        plan: &EvalPlan,
+        r: &[f64],
+        ckpt: &[bool],
+        changed: &[u32],
+        mut store: impl FnMut(usize, usize, f64, f64),
+    ) {
+        let n = plan.n;
+        let cold = !std::mem::replace(&mut self.warm, true);
+        let k_from = match changed {
+            _ if cold => 1,
+            [] => return,
+            [first, ..] => *first as usize + 1,
+        };
+        let stack = &mut self.stack;
+        for k in k_from..=n {
+            let seen = &mut self.seen[tri(k)..tri(k) + k];
+            let start = if cold {
+                k
+            } else {
+                // `i*`: the first row that read a changed position.
+                let start = changed
+                    .iter()
+                    .take_while(|&&q| (q as usize) < k)
+                    .map(|&q| seen[q as usize])
+                    .filter(|&row| row != 0)
+                    .min();
+                let Some(start) = start else {
+                    continue;
+                };
+                for m in seen.iter_mut() {
+                    if *m >= start {
+                        *m = 0;
                     }
-                    mark[j] = i as u32;
-                    if j < k {
+                }
+                start as usize
+            };
+            for i in start..=n {
+                if plan.first_pred[i] as usize >= k {
+                    continue;
+                }
+                let mut wi = 0.0f64;
+                let mut ri = 0.0f64;
+                stack.push(i as u32);
+                while let Some(t) = stack.pop() {
+                    for &j in plan.preds_of(t as usize) {
+                        let j = j as usize;
+                        // At or after the fault: in memory, never counted.
+                        if j >= k || seen[j] != 0 {
+                            continue;
+                        }
+                        seen[j] = i as u32;
                         if ckpt[j] {
                             ri += r[j];
                         } else {
@@ -164,8 +255,8 @@ pub(super) fn lost_set_columns(
                         }
                     }
                 }
+                store(i, k, wi, ri);
             }
-            store(i, k, wi, ri);
         }
     }
 }
@@ -183,10 +274,12 @@ pub struct EvalScratch<'p> {
     /// Checkpoint flags of the last evaluated candidate, by 1-based
     /// position.
     ckpt: Vec<bool>,
-    /// `a[i·(n+1)+k] = W^i_k + R^i_k` for `1 ≤ k ≤ i`; column 0 stays 0,
+    /// Positions whose flag the current candidate changed, ascending.
+    changed: Vec<u32>,
+    /// `a[tri(i) + k] = W^i_k + R^i_k` for `1 ≤ k ≤ i`; column 0 stays 0,
     /// which is the `k = 0` ("no fault yet") term of the assembly.
     a: Vec<f64>,
-    /// `pz[i·(n+1)+k] = P(Z^i_k)` for `0 ≤ k < i`.
+    /// `pz[tri(i) + k] = P(Z^i_k)` for `0 ≤ k < i`.
     pz: Vec<f64>,
     /// `E[X_i]` per position.
     ex: Vec<f64>,
@@ -194,34 +287,32 @@ pub struct EvalScratch<'p> {
     /// accumulation order: entry `i` is the running value after row `i`.
     total: Vec<f64>,
     faults: Vec<f64>,
-    /// DFS state of one lost-set column: `mark[j]` is the position at
-    /// which position `j` was first studied (0 = not yet).
-    mark: Vec<u32>,
-    stack: Vec<u32>,
+    lost: LostSets,
 }
 
 impl<'p> EvalScratch<'p> {
     /// Allocates every buffer a candidate evaluation needs (two
-    /// `(n+1)²` matrices plus `O(n)` rows).
+    /// lower-triangular `(n+1)`-row matrices, the first-visit marks, and
+    /// `O(n)` rows).
     pub fn new(plan: &'p EvalPlan, model: FaultModel) -> Self {
         let n = plan.n;
-        let mut pz = vec![0.0f64; (n + 1) * (n + 1)];
+        let mut pz = vec![0.0f64; tri(n + 1)];
         if n > 0 {
             // Row 1: no fault can precede the first task.
-            pz[n + 1] = 1.0;
+            pz[tri(1)] = 1.0;
         }
         EvalScratch {
             plan,
             model,
             warm: false,
             ckpt: vec![false; n + 1],
-            a: vec![0.0f64; (n + 1) * (n + 1)],
+            changed: Vec::with_capacity(n),
+            a: vec![0.0f64; tri(n + 1)],
             pz,
             ex: vec![0.0f64; n + 1],
             total: vec![0.0f64; n + 1],
             faults: vec![0.0f64; n + 1],
-            mark: vec![0u32; n + 1],
-            stack: Vec::with_capacity(n + 1),
+            lost: LostSets::new(n),
         }
     }
 
@@ -232,29 +323,30 @@ impl<'p> EvalScratch<'p> {
     pub fn expected_makespan(&mut self, ckpt: &[bool]) -> f64 {
         let n = self.plan.n;
         assert_eq!(ckpt.len(), n, "one flag per position");
-        let first_diff = (1..=n).find(|&i| ckpt[i - 1] != self.ckpt[i]);
-        let p = match (self.warm, first_diff) {
+        self.changed.clear();
+        for (i, (&new, old)) in ckpt.iter().zip(&mut self.ckpt[1..]).enumerate() {
+            if new != *old {
+                *old = new;
+                self.changed.push(i as u32 + 1);
+            }
+        }
+        let p = match (self.warm, self.changed.first()) {
             (true, None) => return self.total[n],
-            (true, Some(p)) => p,
+            (true, Some(&p)) => p as usize,
             (false, _) => 1,
         };
-        self.ckpt[p..].copy_from_slice(&ckpt[p - 1..]);
         if n == 0 {
             // Nothing to run: the makespan is 0 (total[0]).
         } else if self.model.lambda() == 0.0 {
             self.fault_free();
         } else {
-            // Columns `k ≤ p` only read flags of positions `< p`.
-            let stride = n + 1;
             let a = &mut self.a;
-            lost_set_columns(
+            self.lost.update(
                 self.plan,
                 &self.plan.r,
                 &self.ckpt,
-                if self.warm { p + 1 } else { 1 },
-                &mut self.mark,
-                &mut self.stack,
-                |i, k, wi, ri| a[i * stride + k] = wi + ri,
+                &self.changed,
+                |i, k, wi, ri| a[tri(i) + k] = wi + ri,
             );
             for i in p..=n {
                 self.assemble_row(i);
@@ -287,44 +379,49 @@ impl<'p> EvalScratch<'p> {
     fn assemble_row(&mut self, i: usize) {
         let plan = self.plan;
         let n = plan.n;
-        let stride = n + 1;
         let lambda = self.model.lambda();
+        // E[t(w; c; r)] = e^{λr} · (1/λ + D) · (e^{λ(w+c)} − 1), evaluated
+        // as `FaultModel::expected_exec_time` does, from the two factors
+        // the fault count needs anyway.
+        let scale = 1.0 / lambda + self.model.downtime();
         let wi = plan.w[i];
         let ci = if self.ckpt[i] { plan.c[i] } else { 0.0 };
-        let row = &self.a[i * stride..i * stride + i + 1];
+        let row = &self.a[tri(i)..=tri(i) + i];
         let b = row[i];
-        let (cur, next) = self.pz.split_at_mut((i + 1) * stride);
-        let cur = &cur[i * stride..i * stride + i];
+        let (cur, next) = self.pz.split_at_mut(tri(i + 1));
+        let cur = &cur[tri(i)..tri(i) + i];
         let has_next = i < n;
 
         let mut exi = 0.0f64;
         let mut faults = self.faults[i - 1];
         let mut sum = 0.0f64;
-        // Factors of the current run of bitwise-equal `A[i][k]`; the key
-        // starts as the complement of the first entry so `k = 0` computes.
-        let mut key = !row[0].to_bits();
-        let (mut exec, mut l1, mut l2, mut decay) = (0.0, 0.0, 0.0, 0.0);
-        for k in 0..i {
-            let a = row[k];
-            if a.to_bits() != key {
-                key = a.to_bits();
-                // `a ≤ b` holds mathematically; clamp accumulation noise.
-                let rec = (b - a).max(0.0);
-                exec = self.model.expected_exec_time(a + wi, ci, rec);
-                l1 = (lambda * rec).exp();
-                l2 = (lambda * (a + wi + ci)).exp_m1();
-                decay = (-lambda * (a + wi + ci)).exp();
+        let mut start = 0;
+        while start < i {
+            // The run of bitwise-equal `A[i][k]` starting at `start`.
+            let a = row[start];
+            let end = row[start + 1..i]
+                .iter()
+                .position(|x| x.to_bits() != a.to_bits())
+                .map_or(i, |len| start + 1 + len);
+            // `a ≤ b` holds mathematically; clamp accumulation noise.
+            let rec = (b - a).max(0.0);
+            let l1 = (lambda * rec).exp();
+            let l2 = (lambda * (a + wi + ci)).exp_m1();
+            let decay = (-lambda * (a + wi + ci)).exp();
+            let exec = l1 * scale * l2;
+            for k in start..end {
+                let p = cur[k];
+                if p != 0.0 {
+                    exi += p * exec;
+                    faults += p * l1 * l2;
+                }
+                if has_next {
+                    let q = p * decay;
+                    next[k] = q;
+                    sum += q;
+                }
             }
-            let p = cur[k];
-            if p != 0.0 {
-                exi += p * exec;
-                faults += p * l1 * l2;
-            }
-            if has_next {
-                let q = p * decay;
-                next[k] = q;
-                sum += q;
-            }
+            start = end;
         }
         if has_next {
             // Property B; clamp against floating-point drift.
@@ -366,7 +463,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
         let plan = EvalPlan::new(wf, order);
         let mut scratch = EvalScratch::new(&plan, model);
-        for (step, flags) in sequences(&mut rng, wf.n_tasks()).iter().enumerate() {
+        for (step, flags) in sequences(&mut rng, wf, order).iter().enumerate() {
             let e = scratch.expected_makespan(flags);
             let want = oracle(wf, model, &plan.schedule(flags));
             assert_eq!(e.to_bits(), want.expected_makespan.to_bits(), "step {step}");

@@ -80,17 +80,19 @@
 //! not enough), per-`(i, k)` attempt statistics — the pool-order `q` of
 //! property A and the sorted-order `(q, M)` of the assembly — the
 //! `P(Z^i_k)` rows, and prefix totals and fault counts. The lost-set
-//! columns come from the one DFS both scratches share. Each change
-//! recomputes only what depends on it:
+//! columns come from the one first-visit-resumable DFS both scratches
+//! share ([`super::plan`]). Each change recomputes only what depends on
+//! it:
 //!
-//! | change at position `p`                | recompute                                        |
-//! |---------------------------------------|--------------------------------------------------|
-//! | checkpoint flag (first difference)    | columns `k > p`, stats rows `≥ p`, assembly `≥ p` |
-//! | replica set of the task               | stats row `p`, assembly rows `≥ p`               |
-//! | storage tier of the task              | columns `k > p`, stats rows `≥ p`, assembly `≥ p` |
+//! | change at position `p`   | recompute                                                                                    |
+//! |--------------------------|----------------------------------------------------------------------------------------------|
+//! | checkpoint flag          | each lost-set column from the first row that reached `p`, stats row `p`, assembly rows `≥ p` |
+//! | replica set of the task  | stats row `p`, assembly rows `≥ p`                                                           |
+//! | storage tier of the task | like a flag change (the recovery cost of `p` changed)                                        |
 //!
-//! A stats row `i > p` recomputes only its columns `k > p` unless its own
-//! flag changed. Inside a row, consecutive bitwise-equal `(W, R)` pairs
+//! A stats row `i` recomputes from the first column whose lost-set entry
+//! the DFS rewrote, or whole when its own block changed. Inside a row,
+//! consecutive bitwise-equal `(W, R)` pairs
 //! share one attempt-statistics computation — on Pegasus shapes most lost
 //! sets are empty, so most pairs are `(0, 0)`. Attempt statistics run on
 //! stack buffers, so a candidate or a replica/tier move never allocates
@@ -113,7 +115,7 @@
 //! formulas agree with Equation (1) to floating-point accuracy (see the
 //! tests).
 
-use crate::evaluator::plan::{lost_set_columns, report_of, EvalPlan};
+use crate::evaluator::plan::{report_of, tri, EvalPlan, LostSets};
 use crate::evaluator::{self, checkpoint_flags_into, EvalReport, EvalScratch};
 use crate::model::Workflow;
 use crate::objective::FlagEvaluator;
@@ -397,12 +399,6 @@ impl Group<'_> {
 /// "Nothing stale" in [`ReplicatedScratch::stats_from`].
 const CLEAN: usize = usize::MAX;
 
-/// Start of row `i` in a lower-triangular matrix stored row by row (row
-/// `i` holds columns `0..=i`).
-fn tri(i: usize) -> usize {
-    i * (i + 1) / 2
-}
-
 /// Per-worker state of the compiled replication-aware evaluation of one
 /// [`EvalPlan`], holding the last candidate's matrices and what has gone
 /// stale since. Every matrix is lower-triangular over rows `0..=n`, entry
@@ -428,12 +424,13 @@ struct ReplicatedScratch {
     ex: Vec<f64>,
     total: Vec<f64>,
     faults: Vec<f64>,
-    mark: Vec<u32>,
-    stack: Vec<u32>,
-    /// Stale state: lost-set columns `k ≥ col_from`, stats row `i` from
-    /// column `stats_from[i]` on ([`CLEAN`]: none), assembly rows
-    /// `i ≥ asm_from`.
-    col_from: usize,
+    lost: LostSets,
+    /// Stale state: the lost-set entries the positions in `changed` (flag
+    /// or recovery cost changed; `pending[p]` iff `p` is listed) can
+    /// reach, stats row `i` from column `stats_from[i]` on ([`CLEAN`]:
+    /// none), and assembly rows `i ≥ asm_from`.
+    changed: Vec<u32>,
+    pending: Vec<bool>,
     stats_from: Vec<usize>,
     asm_from: usize,
 }
@@ -464,9 +461,9 @@ impl ReplicatedScratch {
             ex: vec![0.0f64; n + 1],
             total: vec![0.0f64; n + 1],
             faults: vec![0.0f64; n + 1],
-            mark: vec![0u32; n + 1],
-            stack: Vec::with_capacity(n + 1),
-            col_from: 1,
+            lost: LostSets::new(n),
+            changed: Vec::with_capacity(n),
+            pending: vec![false; n + 1],
             stats_from: vec![0; n + 1],
             asm_from: 1,
         }
@@ -483,17 +480,22 @@ impl ReplicatedScratch {
         self.asm_from = self.asm_from.min(p);
     }
 
+    /// Position `p`'s flag or recovery cost changed: the lost-set entries
+    /// that reached it, its own stats row (flag and write factor price
+    /// it) and the assembly from row `p` on are stale.
+    fn position_changed(&mut self, p: usize) {
+        if !std::mem::replace(&mut self.pending[p], true) {
+            self.changed.push(p as u32);
+        }
+        self.stats_from[p] = 0;
+        self.asm_from = self.asm_from.min(p);
+    }
+
     /// The task at position `p` writes its checkpoint to another tier, so
-    /// its recovery cost becomes `r`: that cost enters lost-set columns
-    /// `k > p`, and its write factor prices stats row `p`.
+    /// its recovery cost becomes `r`.
     fn tier_changed(&mut self, p: usize, r: f64) {
         self.r[p] = r;
-        self.col_from = self.col_from.min(p + 1);
-        self.stats_from[p] = 0;
-        for from in &mut self.stats_from[p + 1..] {
-            *from = (*from).min(p + 1);
-        }
-        self.asm_from = self.asm_from.min(p);
+        self.position_changed(p);
     }
 
     /// Expected makespan of the candidate with checkpoint flags `flags`
@@ -501,36 +503,28 @@ impl ReplicatedScratch {
     fn expected_makespan(&mut self, plan: &EvalPlan, pricing: &Pricing, flags: &[bool]) -> f64 {
         let n = self.n();
         assert_eq!(flags.len(), n, "one flag per position");
-        if let Some(p) = (1..=n).find(|&i| flags[i - 1] != self.ckpt[i]) {
-            // Columns `k ≤ p` only read flags of positions `< p`; a block
-            // whose own flag flipped needs its whole stats row.
-            self.col_from = self.col_from.min(p + 1);
-            self.asm_from = self.asm_from.min(p);
-            for i in p..=n {
-                let from = if flags[i - 1] != self.ckpt[i] {
-                    0
-                } else {
-                    p + 1
-                };
-                self.stats_from[i] = self.stats_from[i].min(from);
+        for i in 1..=n {
+            if flags[i - 1] != self.ckpt[i] {
                 self.ckpt[i] = flags[i - 1];
+                self.position_changed(i);
             }
         }
         if self.asm_from <= n {
-            let (w_mat, r_mat) = (&mut self.w_mat, &mut self.r_mat);
-            lost_set_columns(
-                plan,
-                &self.r,
-                &self.ckpt,
-                self.col_from,
-                &mut self.mark,
-                &mut self.stack,
-                |i, k, wi, ri| {
+            // A stats row goes stale from the first lost-set entry the
+            // update rewrites.
+            self.changed.sort_unstable();
+            let (w_mat, r_mat, stats_from) =
+                (&mut self.w_mat, &mut self.r_mat, &mut self.stats_from);
+            self.lost
+                .update(plan, &self.r, &self.ckpt, &self.changed, |i, k, wi, ri| {
                     w_mat[tri(i) + k] = wi;
                     r_mat[tri(i) + k] = ri;
-                },
-            );
-            self.col_from = n + 1;
+                    stats_from[i] = stats_from[i].min(k);
+                });
+            for &p in &self.changed {
+                self.pending[p as usize] = false;
+            }
+            self.changed.clear();
             let downtime = pricing.platform.downtime();
             for i in self.asm_from..=n {
                 if self.stats_from[i] != CLEAN {
@@ -1296,7 +1290,7 @@ mod tests {
         check_resumed(&mut ev, &s, "budget 3");
         check_resumed(&mut ev, &s, "budget 3 again");
         let scratch = &ev.resumed.as_ref().unwrap().scratch;
-        assert!(scratch.asm_from > 8 && scratch.col_from > 8);
+        assert!(scratch.asm_from > 8 && scratch.changed.is_empty());
         assert!(scratch.stats_from[1..].iter().all(|&f| f == CLEAN));
     }
 
@@ -1361,7 +1355,10 @@ mod tests {
         let p = s.order().iter().position(|t| t.index() == 3).unwrap() + 1;
         let scratch = &ev.resumed.as_ref().unwrap().scratch;
         assert_eq!(scratch.asm_from, p);
-        assert_eq!(scratch.col_from, 9, "a replica move leaves the columns");
+        assert!(
+            scratch.changed.is_empty(),
+            "a replica move leaves the columns"
+        );
         for (i, &from) in scratch.stats_from.iter().enumerate().skip(1) {
             assert_eq!(from == CLEAN, i != p, "stats row {i}");
         }
@@ -1599,7 +1596,7 @@ mod tests {
             let tiers: Vec<usize> = (0..n).map(|_| rng.gen_range(0..h.n_tiers())).collect();
             ev = ev.with_storage(h, &tiers);
         }
-        let seqs = sequences(&mut rng, n);
+        let seqs = sequences(&mut rng, &wf, &order);
 
         // A sweep worker's scratch over a shared plan.
         let plan = EvalPlan::new(&wf, &order);

@@ -46,6 +46,7 @@ use dagchkpt_failure::{FaultModel, HeteroPlatform, Processor, StorageHierarchy};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// Which tasks to checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -542,16 +543,66 @@ where
     }
 }
 
+/// Contiguous candidate ranges, one per sweep worker, that a worker whose
+/// own range ran dry steals from: the upper half of the largest remaining
+/// range becomes its own. One mutex, locked once per claimed candidate.
+struct RangeTable {
+    /// `[start, end)` of the candidate indices each worker has left.
+    ranges: Mutex<Vec<(usize, usize)>>,
+}
+
+impl RangeTable {
+    /// `len` candidates split into `workers` equal contiguous ranges.
+    fn new(len: usize, workers: usize) -> Self {
+        let ranges = (0..workers)
+            .map(|w| (w * len / workers, (w + 1) * len / workers))
+            .collect();
+        RangeTable {
+            ranges: Mutex::new(ranges),
+        }
+    }
+
+    /// The next candidate index for `worker`: the front of its own range,
+    /// or — once that is empty — the front of the upper half it steals
+    /// from the largest remaining range. `None` once every index is
+    /// handed out; each index is handed out exactly once.
+    fn claim(&self, worker: usize) -> Option<usize> {
+        // A worker panics only outside the lock, so a poisoned table is
+        // still consistent.
+        let mut ranges = self.ranges.lock().unwrap_or_else(PoisonError::into_inner);
+        if ranges[worker].0 == ranges[worker].1 {
+            let (victim, &(start, end)) = ranges
+                .iter()
+                .enumerate()
+                .max_by_key(|&(w, &(start, end))| (end - start, std::cmp::Reverse(w)))?;
+            if start == end {
+                return None;
+            }
+            let mid = start + (end - start) / 2;
+            ranges[victim].1 = mid;
+            ranges[worker] = (mid, end);
+        }
+        let next = ranges[worker].0;
+        ranges[worker].0 += 1;
+        Some(next)
+    }
+}
+
 /// Sweeps candidate budgets in parallel; ties broken toward smaller `N`.
 ///
-/// The candidate list is split into one contiguous run per worker. Each
-/// run creates one evaluator and one flag vector, and `set_for` rewrites
-/// the flags in place for each budget, so consecutive candidates of a run
-/// differ in few flags (exactly one for nested ranked budgets) — which is
-/// what lets a compiled scratch resume. Every value is independent of the
-/// evaluator's history and [`better_candidate`] is independent of the
-/// grouping, so the result does not depend on the thread count. Only the
-/// winner is materialized as a [`Schedule`].
+/// The candidate list is split into one contiguous range per worker, and
+/// each worker consumes its range from the front; a worker whose range
+/// runs dry steals the upper half of the largest remaining one
+/// ([`RangeTable`]), so no core idles while candidates remain. Each
+/// worker creates one evaluator and one flag vector on its first
+/// candidate, and `set_for` rewrites the flags in place for each budget,
+/// so consecutive candidates of a worker differ in few flags (exactly one
+/// for nested ranked budgets, a jump at the start of a stolen range) —
+/// which is what lets a compiled scratch resume. Every value is
+/// independent of the evaluator's history and [`better_candidate`] is
+/// independent of the grouping, so neither the thread count nor the
+/// steals change the result. Only the winner is materialized as a
+/// [`Schedule`].
 fn sweep_with_cost<F, E>(
     plan: &EvalPlan,
     policy: SweepPolicy,
@@ -565,18 +616,20 @@ where
     let n = plan.n();
 
     let best_of = |candidates: &[usize]| -> Option<(usize, f64)> {
-        let runs = rayon::current_num_threads().clamp(1, candidates.len().max(1));
-        let bests: Vec<_> = (0..runs)
+        let workers = rayon::current_num_threads().clamp(1, candidates.len().max(1));
+        let table = RangeTable::new(candidates.len(), workers);
+        let bests: Vec<_> = (0..workers)
             .into_par_iter()
-            .map(|r| {
-                let run =
-                    &candidates[r * candidates.len() / runs..(r + 1) * candidates.len() / runs];
-                let mut eval = evaluator();
-                let mut flags = vec![false; n];
-                run.iter().fold(None, |best, &n_ckpt| {
-                    set_for(n_ckpt, &mut flags);
-                    better_candidate(best, Some((n_ckpt, eval(&flags))))
-                })
+            .map(|w| {
+                let mut state = None;
+                let mut best = None;
+                while let Some(idx) = table.claim(w) {
+                    let n_ckpt = candidates[idx];
+                    let (eval, flags) = state.get_or_insert_with(|| (evaluator(), vec![false; n]));
+                    set_for(n_ckpt, flags);
+                    best = better_candidate(best, Some((n_ckpt, eval(flags))));
+                }
+                best
             })
             .collect();
         bests.into_iter().fold(None, better_candidate)
@@ -1338,6 +1391,83 @@ mod tests {
             prop_assert!(swept.evaluated == n + 1);
             prop_assert!(swept.schedule.checkpoints() == &set_from_ranking(n, &rank, best_n));
         }
+    }
+
+    /// Claims from random workers until every worker is refused: each
+    /// candidate index is handed out exactly once, and a refusal is final.
+    fn drain_range_table(rng: &mut SmallRng, len: usize, workers: usize) {
+        let table = RangeTable::new(len, workers);
+        let mut handed = vec![0u32; len];
+        let mut done = vec![false; workers];
+        while done.iter().any(|d| !d) {
+            let w = rng.gen_range(0..workers);
+            match table.claim(w) {
+                Some(idx) => {
+                    assert!(!done[w], "worker {w} claimed after a refusal");
+                    handed[idx] += 1;
+                }
+                None => done[w] = true,
+            }
+        }
+        assert!(
+            handed.iter().all(|&h| h == 1),
+            "{len} over {workers}: {handed:?}"
+        );
+    }
+
+    #[test]
+    fn range_table_hands_out_every_candidate_exactly_once() {
+        let mut rng = SmallRng::seed_from_u64(0x57EA1);
+        for workers in 1..=5 {
+            for len in [0, 1, 2, 3, 7, 64, 201] {
+                for _ in 0..20 {
+                    drain_range_table(&mut rng, len, workers);
+                }
+            }
+        }
+        // Real threads: the claims of all workers partition the indices.
+        for workers in 1..=5 {
+            let len = 997;
+            let table = RangeTable::new(len, workers);
+            let mut claimed: Vec<usize> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let table = &table;
+                        scope.spawn(move || {
+                            std::iter::from_fn(|| table.claim(w)).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap())
+                    .collect()
+            });
+            claimed.sort_unstable();
+            assert_eq!(claimed, (0..len).collect::<Vec<_>>(), "{workers} workers");
+        }
+    }
+
+    /// An idle worker steals the upper half of the largest range.
+    #[test]
+    fn range_table_steals_the_upper_half_of_the_largest_range() {
+        let table = RangeTable::new(12, 3);
+        // Worker 2 drains its own range [8, 12) first.
+        let own: Vec<_> = (0..4).map(|_| table.claim(2).unwrap()).collect();
+        assert_eq!(own, [8, 9, 10, 11]);
+        // Worker 0 has consumed one of [0, 4): worker 1's [4, 8) is the
+        // largest, so worker 2 takes [6, 8) and worker 1 keeps [4, 6).
+        assert_eq!(table.claim(0), Some(0));
+        assert_eq!(table.claim(2), Some(6));
+        assert_eq!(table.claim(1), Some(4));
+        assert_eq!(table.claim(1), Some(5));
+        assert_eq!(table.claim(2), Some(7));
+        // Now worker 0's [1, 4) is all that is left: worker 1 steals [2, 4).
+        assert_eq!(table.claim(1), Some(2));
+        assert_eq!(table.claim(0), Some(1));
+        assert_eq!(table.claim(0), Some(3));
+        assert_eq!(table.claim(1), None);
+        assert_eq!(table.claim(2), None);
     }
 
     #[test]

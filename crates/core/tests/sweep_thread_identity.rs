@@ -1,30 +1,40 @@
 //! Thread-count bit-identity of the checkpoint-budget sweep.
 //!
-//! The sweep splits its candidates into one contiguous run per worker and
-//! each run resumes an `EvalScratch` from its previous candidate, so the
+//! The sweep splits its candidates into one contiguous range per worker;
+//! a worker whose range runs dry steals the upper half of the largest
+//! remaining range, and each worker resumes an `EvalScratch` from its
+//! previous candidate (a far jump at the start of a stolen range). So the
 //! grouping — and each scratch's history — changes with
-//! `RAYON_NUM_THREADS`. The result must not: every candidate's value is
-//! history-independent and the argmin is grouping-independent. This suite
-//! pins `best_n`, the expected-makespan bits, `evaluated` and the winning
-//! checkpoint set under 1, 2 and 4 workers, and checks the winner against
-//! a sequential argmin over one-shot evaluations. The replication-aware
+//! `RAYON_NUM_THREADS` and with timing. The result must not: every
+//! candidate's value is history-independent and the argmin is
+//! grouping-independent. This suite pins `best_n`, the expected-makespan
+//! bits, `evaluated` and the winning checkpoint set under 1, 2, 3 and 4
+//! workers, and checks the winner against a sequential argmin over
+//! one-shot evaluations. A forced-steal case slows the small budgets down
+//! so the workers holding the large ones run dry early and steal; it
+//! pins ranked, `CkptPer`, strided and quantile sweeps. The replication-aware
 //! sweep, the joint descent and its storage axis resume a replicated
 //! scratch per worker (and the evaluator's own across selection moves);
 //! their results are pinned the same way. The vendored executor reads the
 //! variable at every dispatch; a mutex serializes the env mutation.
 
-use dagchkpt_core::evaluator::evaluate;
-use dagchkpt_core::strategies::{periodic_set, ranking, set_from_ranking};
+use dagchkpt_core::evaluator::{evaluate, EvalPlan};
+use dagchkpt_core::strategies::{
+    optimize_checkpoints_quantile, periodic_set, ranking, set_from_ranking,
+};
 use dagchkpt_core::{
     linearize, optimize_checkpoints, optimize_checkpoints_with, optimize_joint,
-    optimize_joint_with, CheckpointStrategy, CostRule, JointSchedule, LinearizationStrategy,
-    OptimizedSchedule, ReplicatedEvaluator, Schedule, SelectionSpec, SweepPolicy, Workflow,
+    optimize_joint_with, CheckpointStrategy, CostRule, FlagEvaluator, JointSchedule,
+    LinearizationStrategy, Objective, OptimizedSchedule, ProxyObjective, ReplicatedEvaluator,
+    Schedule, SelectionSpec, SweepPolicy, Workflow,
 };
 use dagchkpt_dag::generators;
 use dagchkpt_failure::{FaultModel, HeteroPlatform, Processor, StorageHierarchy, StorageTier};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -32,7 +42,7 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 fn under_thread_counts<T>(f: impl Fn() -> T) -> Vec<T> {
     let _guard = ENV_LOCK.lock().unwrap();
     let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    let runs = ["1", "2", "4"]
+    let runs = ["1", "2", "3", "4"]
         .iter()
         .map(|n| {
             std::env::set_var("RAYON_NUM_THREADS", n);
@@ -225,4 +235,93 @@ fn replicated_optimizers_are_identical_for_any_thread_count() {
             assert_eq!(r, &runs[0], "seed {seed}, n = {n}");
         }
     }
+}
+
+/// The proxy objective, slowed down the fewer checkpoints a candidate
+/// has: the workers holding the small budgets fall behind, so the others
+/// run dry early and steal from them. Each worker's evaluator counts the
+/// candidates that do not follow its previous one by exactly one
+/// checkpoint — on a nested exhaustive sweep, the starts of stolen ranges.
+struct SlowSmallBudgets<'a> {
+    proxy: ProxyObjective<'a>,
+    n: usize,
+    jumps: AtomicUsize,
+}
+
+impl Objective for SlowSmallBudgets<'_> {
+    fn cost(&self, schedule: &Schedule) -> f64 {
+        let missing = self.n - schedule.n_checkpoints();
+        std::thread::sleep(Duration::from_micros(30 * missing as u64));
+        self.proxy.cost(schedule)
+    }
+
+    fn label(&self) -> &'static str {
+        "slow-small-budgets"
+    }
+
+    fn flag_evaluator<'s>(&'s self, plan: &'s EvalPlan) -> FlagEvaluator<'s> {
+        let mut prev: Option<usize> = None;
+        Box::new(move |flags: &[bool]| {
+            let k = flags.iter().filter(|&&f| f).count();
+            if prev.is_some_and(|p| k != p + 1) {
+                self.jumps.fetch_add(1, Ordering::Relaxed);
+            }
+            prev = Some(k);
+            self.cost(&plan.schedule(flags))
+        })
+    }
+}
+
+#[test]
+fn forced_steals_leave_every_sweep_identical() {
+    let n = 40;
+    let wf = instance(21, n);
+    let order = linearize(&wf, LinearizationStrategy::RandomFirst { seed: 21 });
+    let model = FaultModel::new(2e-3, 1.0);
+    let obj = SlowSmallBudgets {
+        proxy: ProxyObjective::new(&wf, model),
+        n,
+        jumps: AtomicUsize::new(0),
+    };
+    let ranked = CheckpointStrategy::ByDecreasingWork;
+    let periodic = CheckpointStrategy::Periodic;
+    let (exhaustive, strided) = (SweepPolicy::Exhaustive, SweepPolicy::Strided { stride: 3 });
+    let runs = under_thread_counts(|| {
+        obj.jumps.store(0, Ordering::Relaxed);
+        let ranked_sweep = optimize_checkpoints_with(&wf, &obj, &order, ranked, exhaustive);
+        let steals = obj.jumps.load(Ordering::Relaxed);
+        let prints = vec![
+            fingerprint(&ranked_sweep),
+            fingerprint(&optimize_checkpoints_with(
+                &wf, &obj, &order, periodic, exhaustive,
+            )),
+            fingerprint(&optimize_checkpoints_with(
+                &wf, &obj, &order, ranked, strided,
+            )),
+            fingerprint(&optimize_checkpoints_with(
+                &wf, &obj, &order, periodic, strided,
+            )),
+            fingerprint(&optimize_checkpoints_quantile(
+                &wf, &obj, &order, ranked, exhaustive, 0.9,
+            )),
+            fingerprint(&optimize_checkpoints_quantile(
+                &wf, &obj, &order, periodic, strided, 0.9,
+            )),
+        ];
+        (prints, steals)
+    });
+    // The reference: one worker, no steal, and the proxy's own sweeps.
+    assert_eq!(runs[0].1, 0, "one worker never steals");
+    let plain = [
+        optimize_checkpoints(&wf, model, &order, ranked, exhaustive),
+        optimize_checkpoints(&wf, model, &order, periodic, exhaustive),
+    ];
+    for (got, want) in runs[0].0.iter().zip(&plain) {
+        assert_eq!(got, &fingerprint(want));
+    }
+    for (workers, (prints, _)) in [2, 3, 4].iter().zip(&runs[1..]) {
+        assert_eq!(prints, &runs[0].0, "{workers} workers");
+    }
+    let steals: usize = runs[1..].iter().map(|r| r.1).sum();
+    assert!(steals > 0, "the slow small budgets must force a steal");
 }
