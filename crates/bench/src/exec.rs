@@ -454,7 +454,8 @@ fn run_strategy_storage(
         // order, budget, and replica sets as chosen above. A degenerate
         // platform that collapsed to the homogeneous path is rebuilt as
         // the single reference machine, on which the replicated
-        // evaluator reproduces the scalar model exactly.
+        // evaluator reproduces the scalar model — downtime included —
+        // exactly.
         let reference;
         let (platform, degrees_own);
         match hetero {
@@ -465,7 +466,7 @@ fn run_strategy_storage(
             None => {
                 reference = dagchkpt_failure::HeteroPlatform::new(
                     vec![dagchkpt_failure::Processor::reference(model.lambda())],
-                    0.0,
+                    model.downtime(),
                 )
                 .expect("the reference machine is a valid platform");
                 platform = &reference;

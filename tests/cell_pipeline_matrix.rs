@@ -220,3 +220,53 @@ fn pipeline_matrix_is_pinned() {
         );
     }
 }
+
+/// Per-task tier selection on the degenerate single reference machine
+/// rebuilds that machine for the storage-aware evaluator; it must keep
+/// the cell's downtime. A uniform per-task outcome then prices exactly
+/// like the same fixed tier, and the Monte-Carlo engine (which always
+/// paid the downtime) agrees with the analytic column.
+#[test]
+fn degenerate_per_task_keeps_the_cell_downtime() {
+    let base = base();
+    let spec_for = |select: StorageSelect| ScenarioSpec {
+        name: "degenerate_per_task".to_string(),
+        simulators: vec![SimulatorSpec::MonteCarlo { trials: 20_000 }],
+        platforms: vec![PlatformSpec::Uniform { count: 1 }],
+        storage: with_storage(&base, Some(select)),
+        ..base.clone()
+    };
+    let run = |spec: &ScenarioSpec| {
+        let plans = spec.expand().expect("valid spec");
+        assert_eq!(plans.len(), 1);
+        run_cell_full(spec, &plans[0]).expect("cell runs")
+    };
+    let per_task = run(&spec_for(StorageSelect::PerTask));
+    for r in &per_task.rows {
+        assert!(r.z.abs() < 4.0, "{}: z = {} ({r:?})", r.strategy, r.z);
+    }
+    let mut uniform = 0;
+    for s in &per_task.schedules {
+        let tiers = s.tiers.as_ref().expect("storage axis carries tiers");
+        if tiers.iter().any(|&t| t != tiers[0]) {
+            continue;
+        }
+        uniform += 1;
+        let tier = s.storage.clone().expect("storage label");
+        let fixed = run(&spec_for(StorageSelect::Fixed { tier }));
+        let f = fixed
+            .schedules
+            .iter()
+            .find(|f| f.strategy == s.strategy)
+            .expect("same strategy under the fixed tier");
+        let rel = (s.expected - f.expected).abs() / f.expected;
+        assert!(
+            rel <= 1e-12,
+            "{}: per-task {} vs fixed {} (rel {rel:e})",
+            s.strategy,
+            s.expected,
+            f.expected
+        );
+    }
+    assert!(uniform > 0, "no strategy landed on a uniform tier assignment");
+}
