@@ -34,8 +34,8 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 pub use crate::exec::{
-    run_cell_full, run_cell_plan, run_scenario, CellExecution, CellResult, ScheduleDetail,
-    TenantRow, GENERIC_HEADER, TENANT_HEADER,
+    run_cell_full, run_scenario, CellExecution, CellResult, ScheduleDetail, TenantRow,
+    GENERIC_HEADER, TENANT_HEADER,
 };
 
 /// How a scenario stage's rows are laid out on disk.

@@ -15,20 +15,19 @@ use crate::scenario::{
     ScenarioError, ScenarioSpec, SimulatorSpec, StorageSelect, StrategyCell,
 };
 use dagchkpt_core::{
-    evaluator, exact, linearize, optimize_checkpoints_quantile, optimize_joint,
-    optimize_joint_with, run_heuristic, run_heuristic_with, select_storage, storage_scales,
+    evaluator, exact, linearize, optimize_checkpoints_quantile, optimize_joint_with, run_heuristic,
+    run_heuristic_with, select_storage, storage_scales, Heuristic, HeuristicResult,
     LinearizationStrategy, ReplicatedEvaluator, Schedule, SelectionSpec, StorageStrategy,
     SweepPolicy, Workflow,
 };
 use dagchkpt_failure::{
-    daly, ExponentialInjector, FaultInjector, FaultModel, StorageHierarchy, TraceInjector,
-    WeibullInjector,
+    daly, ExponentialInjector, FaultInjector, FaultModel, HeteroPlatform, StorageHierarchy,
+    TraceInjector, WeibullInjector,
 };
 use dagchkpt_sim::{
     run_nonblocking_trials_with, run_replicated_nonblocking_trials_with,
-    run_replicated_sets_trials_with, run_replicated_trials_with, run_tenant_trials_with,
-    run_trials_with, McObjective, NonBlockingConfig, TenantConfig, TenantJob, TenantPolicy,
-    TrialSpec,
+    run_replicated_sets_trials_with, run_tenant_trials_with, run_trials_with, McObjective,
+    NonBlockingConfig, TenantConfig, TenantJob, TenantPolicy, TrialSpec,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -88,10 +87,10 @@ pub struct CellResult {
     pub storage: String,
 }
 
-/// A strategy's optimized schedule plus its analytic value. `replica_sets`
-/// is `Some` only when the joint optimizer re-selected per-task replica
-/// sets (they then replace the cell's static degree assignment everywhere
-/// downstream: the analytic column and both Monte-Carlo engines).
+/// A strategy's optimized schedule plus its final analytic value.
+/// `replica_sets` is `Some` only when the joint optimizer re-selected
+/// per-task replica sets (they then replace the cell's sets everywhere
+/// downstream: the storage pricing and both Monte-Carlo engines).
 struct StrategyOutcome {
     name: String,
     schedule: Schedule,
@@ -104,6 +103,28 @@ struct StrategyOutcome {
     tiers: Option<Vec<usize>>,
 }
 
+impl StrategyOutcome {
+    fn of(name: String, schedule: Schedule, expected: f64, best_n: Option<usize>) -> Self {
+        StrategyOutcome {
+            name,
+            schedule,
+            expected,
+            best_n,
+            replica_sets: None,
+            tiers: None,
+        }
+    }
+
+    fn heuristic(r: HeuristicResult) -> Self {
+        Self::of(r.name, r.schedule, r.expected_makespan, r.best_n)
+    }
+
+    fn exact(name: &str, (schedule, expected): (Schedule, f64)) -> Self {
+        let best_n = Some(schedule.n_checkpoints());
+        Self::of(name.to_string(), schedule, expected, best_n)
+    }
+}
+
 /// Joint coordinate-descent rounds per heuristic (sweep + replica
 /// selection per round; the descent stops early at a fixed point).
 const JOINT_ROUNDS: usize = 4;
@@ -113,163 +134,17 @@ const JOINT_ROUNDS: usize = 4;
 /// row simulators' (which use the unsalted cell seed).
 const TAIL_OBJECTIVE_SALT: u64 = 0x9D3C_55F2_71E4_A0B7;
 
-#[allow(clippy::too_many_arguments)]
-fn run_strategy(
-    wf: &Workflow,
-    model: FaultModel,
-    strat: StrategyCell,
-    policy: SweepPolicy,
-    optimizer: OptimizerSpec,
-    objective: ObjectiveSpec,
-    seed: u64,
-    hetero: Option<&(dagchkpt_failure::HeteroPlatform, Vec<usize>)>,
-) -> Result<StrategyOutcome, ScenarioError> {
-    match strat {
-        StrategyCell::Heuristic(h) => {
-            if let Some((q, trials)) = objective.quantile_target() {
-                // Quantile objectives sweep each heuristic's budget
-                // against a seeded Monte-Carlo quantile estimate under
-                // the cell's homogeneous exponential proxy (validation
-                // pins `optimizer == Proxy` for them). The `expected`
-                // column keeps its meaning — the analytic proxy mean of
-                // the chosen schedule — so arms optimizing different
-                // objectives stay comparable at the mean.
-                let mc = McObjective::homogeneous(
-                    wf,
-                    model,
-                    TrialSpec::new(trials, seed ^ TAIL_OBJECTIVE_SALT),
-                );
-                let order = linearize(wf, h.lin);
-                let r = optimize_checkpoints_quantile(wf, &mc, &order, h.ckpt, policy, q);
-                let expected = evaluator::expected_makespan(wf, model, &r.schedule);
-                return Ok(StrategyOutcome {
-                    name: h.name(),
-                    schedule: r.schedule,
-                    expected,
-                    best_n: r.best_n,
-                    replica_sets: None,
-                    tiers: None,
-                });
-            }
-            let r = match (optimizer, hetero) {
-                // The proxy optimizer — and any optimizer on a cell the
-                // degenerate collapse routed to the homogeneous path —
-                // optimizes under the single-machine model, as ever.
-                (OptimizerSpec::Proxy, _) | (_, None) => run_heuristic(wf, model, h, policy),
-                (OptimizerSpec::ReplicationAware, Some((platform, degrees))) => {
-                    let obj = ReplicatedEvaluator::from_degrees(wf, platform, degrees);
-                    run_heuristic_with(wf, &obj, h, policy)
-                }
-                (OptimizerSpec::Joint, Some((platform, degrees))) => {
-                    let order = linearize(wf, h.lin);
-                    let j =
-                        optimize_joint(wf, platform, &order, h.ckpt, policy, degrees, JOINT_ROUNDS);
-                    return Ok(StrategyOutcome {
-                        name: h.name(),
-                        expected: j.expected_makespan,
-                        best_n: j.best_n,
-                        replica_sets: Some(j.replica_sets),
-                        tiers: None,
-                        schedule: j.schedule,
-                    });
-                }
-            };
-            Ok(StrategyOutcome {
-                name: r.name,
-                schedule: r.schedule,
-                expected: r.expected_makespan,
-                best_n: r.best_n,
-                replica_sets: None,
-                tiers: None,
-            })
-        }
-        StrategyCell::ExactChain => {
-            let (schedule, expected) = exact::chain::solve_chain(wf, model)
-                .ok_or_else(|| ScenarioError::new("ExactChain: workflow is not a chain"))?;
-            Ok(exact_outcome("ExactChain", schedule, expected))
-        }
-        StrategyCell::ExactFork => {
-            let (schedule, expected) = exact::fork::solve_fork(wf, model)
-                .ok_or_else(|| ScenarioError::new("ExactFork: workflow is not a fork"))?;
-            Ok(exact_outcome("ExactFork", schedule, expected))
-        }
-        StrategyCell::ExactJoin => {
-            let (schedule, expected) =
-                exact::join::solve_join_uniform(wf, model).ok_or_else(|| {
-                    ScenarioError::new(
-                        "ExactJoin: workflow is not a join with uniform checkpoint costs",
-                    )
-                })?;
-            Ok(exact_outcome("ExactJoin", schedule, expected))
-        }
-        StrategyCell::Young | StrategyCell::Daly => {
-            let n = wf.n_tasks();
-            let order = linearize(wf, LinearizationStrategy::DepthFirst);
-            let mean_c = if n == 0 {
-                0.0
-            } else {
-                wf.checkpoint_costs().iter().sum::<f64>() / n as f64
-            };
-            let budget = if model.lambda() <= 0.0 || mean_c <= 0.0 {
-                0
-            } else {
-                let mtbf = 1.0 / model.lambda();
-                let period = match strat {
-                    StrategyCell::Young => daly::young_period(mean_c, mtbf),
-                    _ => daly::daly_period(mean_c, mtbf),
-                };
-                if period > 0.0 {
-                    (wf.total_work() / period).floor() as usize
-                } else {
-                    n
-                }
-            }
-            .min(n);
-            let set = dagchkpt_core::strategies::periodic_set(wf, &order, budget);
-            let schedule = Schedule::new(wf, order, set)
-                .map_err(|e| ScenarioError::new(format!("periodic schedule: {e}")))?;
-            let expected = evaluator::expected_makespan(wf, model, &schedule);
-            Ok(StrategyOutcome {
-                name: strat.name(),
-                schedule,
-                expected,
-                best_n: Some(budget),
-                replica_sets: None,
-                tiers: None,
-            })
-        }
-    }
-}
-
-fn exact_outcome(name: &str, schedule: Schedule, expected: f64) -> StrategyOutcome {
-    let best_n = Some(schedule.n_checkpoints());
-    StrategyOutcome {
-        name: name.to_string(),
-        schedule,
-        expected,
-        best_n,
-        replica_sets: None,
-        tiers: None,
-    }
-}
+/// A cell's resolved heterogeneous execution context: the platform plus
+/// one replica set per task.
+type Hetero = (HeteroPlatform, Vec<Vec<usize>>);
 
 /// Per-task replica-group sizes for storage-contention pricing: 1 for
-/// every task on the homogeneous path, the joint optimizer's per-task
-/// set sizes when it picked them, otherwise the cell's static degrees
-/// clamped to the platform.
-fn replica_counts(
-    n: usize,
-    hetero: Option<&(dagchkpt_failure::HeteroPlatform, Vec<usize>)>,
-    sets: Option<&Vec<Vec<usize>>>,
-) -> Vec<usize> {
-    match (hetero, sets) {
-        (None, _) => vec![1; n],
-        (Some(_), Some(sets)) => sets.iter().map(|s| s.len().max(1)).collect(),
-        (Some((platform, degrees)), None) => degrees
-            .iter()
-            .map(|&d| d.clamp(1, platform.n_procs()))
-            .collect(),
-    }
+/// every task on the homogeneous path, the replica-set sizes otherwise.
+fn replica_counts(n: usize, sets: Option<&[Vec<usize>]>) -> Vec<usize> {
+    sets.map_or_else(
+        || vec![1; n],
+        |sets| sets.iter().map(|s| s.len().max(1)).collect(),
+    )
 }
 
 /// The tier-priced workflow copy every Monte-Carlo engine simulates:
@@ -305,21 +180,118 @@ fn storage_label(
     }
 }
 
-/// Storage-aware strategy dispatch. Optimizes the strategy once per
-/// candidate tier (uniform assignments, argmin by the exact tier-priced
-/// expected makespan via [`f64::total_cmp`] — the first tier wins ties
-/// and a `NaN` candidate can never displace a finite one), then refines
-/// per task when the spec asks for it. Under the `joint` optimizer with
-/// `per-task` selection, tier choice instead becomes the third axis of
-/// the coordinate descent itself ([`optimize_joint_with`]); under a
-/// fixed tier the joint descent runs on a single-tier sub-hierarchy so
-/// the tier stays pinned while budget and replica sets co-optimize.
+/// The replication-aware evaluator over `sets`, with every checkpoint on
+/// `tier` when one is given.
+fn replicated_evaluator<'a>(
+    wf: &'a Workflow,
+    platform: &'a HeteroPlatform,
+    sets: &[Vec<usize>],
+    tier: Option<(&'a StorageHierarchy, usize)>,
+) -> ReplicatedEvaluator<'a> {
+    let ev = ReplicatedEvaluator::from_sets(wf, platform, sets);
+    match tier {
+        None => ev,
+        Some((hierarchy, t)) => ev.with_storage(hierarchy, &vec![t; wf.n_tasks()]),
+    }
+}
+
+/// The joint coordinate descent over budget × replica sets, plus the
+/// per-task storage tiers when `hierarchy` is given.
+fn joint(
+    wf: &Workflow,
+    platform: &HeteroPlatform,
+    sets: &[Vec<usize>],
+    h: Heuristic,
+    policy: SweepPolicy,
+    hierarchy: Option<&StorageHierarchy>,
+) -> StrategyOutcome {
+    let order = linearize(wf, h.lin);
+    let init_tiers = vec![0; wf.n_tasks()];
+    let j = optimize_joint_with(
+        wf,
+        platform,
+        &order,
+        h.ckpt,
+        policy,
+        sets,
+        JOINT_ROUNDS,
+        SelectionSpec::Prefixes,
+        hierarchy.map(|hierarchy| (hierarchy, init_tiers.as_slice())),
+    )
+    .expect("the prefix family is infallible");
+    StrategyOutcome {
+        name: h.name(),
+        expected: j.expected_makespan,
+        best_n: j.best_n,
+        replica_sets: Some(j.replica_sets),
+        tiers: j.tiers,
+        schedule: j.schedule,
+    }
+}
+
+/// Young/Daly: periodic checkpoints on the DF linearization at the budget
+/// implied by the period for the mean checkpoint cost.
+fn periodic(
+    wf: &Workflow,
+    model: FaultModel,
+    strat: StrategyCell,
+) -> Result<StrategyOutcome, ScenarioError> {
+    let n = wf.n_tasks();
+    let order = linearize(wf, LinearizationStrategy::DepthFirst);
+    let mean_c = if n == 0 {
+        0.0
+    } else {
+        wf.checkpoint_costs().iter().sum::<f64>() / n as f64
+    };
+    let budget = if model.lambda() <= 0.0 || mean_c <= 0.0 {
+        0
+    } else {
+        let mtbf = 1.0 / model.lambda();
+        let period = match strat {
+            StrategyCell::Young => daly::young_period(mean_c, mtbf),
+            _ => daly::daly_period(mean_c, mtbf),
+        };
+        if period > 0.0 {
+            (wf.total_work() / period).floor() as usize
+        } else {
+            n
+        }
+    }
+    .min(n);
+    let set = dagchkpt_core::strategies::periodic_set(wf, &order, budget);
+    let schedule = Schedule::new(wf, order, set)
+        .map_err(|e| ScenarioError::new(format!("periodic schedule: {e}")))?;
+    let expected = evaluator::expected_makespan(wf, model, &schedule);
+    Ok(StrategyOutcome::of(
+        strat.name(),
+        schedule,
+        expected,
+        Some(budget),
+    ))
+}
+
+/// Optimizes one strategy of a cell and returns its final `expected`.
 ///
-/// The returned outcome always carries `tiers: Some(..)` and an
-/// `expected` that is the exact storage-priced value — callers use it
-/// directly instead of re-deriving a replicated expectation.
+/// Without a storage axis the strategy runs once, on the costs as
+/// declared. With one it runs once per candidate tier (uniform
+/// assignments; argmin by the exact tier-priced expected makespan via
+/// [`f64::total_cmp`] — the first tier wins ties and a `NaN` candidate can
+/// never displace a finite one), then refines per task when the spec asks
+/// for it. Under the `joint` optimizer with `per-task` selection, tier
+/// choice instead becomes the third axis of the coordinate descent itself
+/// ([`optimize_joint_with`]); under a fixed tier the joint descent runs on
+/// a single-tier sub-hierarchy so the tier stays pinned while budget and
+/// replica sets co-optimize.
+///
+/// The `replication_aware` and `joint` optimizers optimize against the
+/// exact replicated objective on the cell's replica sets. Everything else
+/// — the `proxy` optimizer, any optimizer on a cell the degenerate
+/// collapse routed to the homogeneous path, and the closed-form
+/// strategies — optimizes under the single-machine model (of the
+/// tier-priced copy), and its `expected` is then the exact replicated
+/// value of that schedule on a platform.
 #[allow(clippy::too_many_arguments)]
-fn run_strategy_storage(
+fn run_strategy(
     wf: &Workflow,
     model: FaultModel,
     strat: StrategyCell,
@@ -327,122 +299,120 @@ fn run_strategy_storage(
     optimizer: OptimizerSpec,
     objective: ObjectiveSpec,
     seed: u64,
-    hetero: Option<&(dagchkpt_failure::HeteroPlatform, Vec<usize>)>,
-    hierarchy: &StorageHierarchy,
-    select: &StorageSelect,
+    hetero: Option<&Hetero>,
+    storage: Option<&(StorageHierarchy, StorageSelect)>,
 ) -> Result<StrategyOutcome, ScenarioError> {
     let n = wf.n_tasks();
-    let n_tiers = hierarchy.n_tiers();
-    if optimizer == OptimizerSpec::Joint && *select == StorageSelect::PerTask {
-        if let (StrategyCell::Heuristic(h), Some((platform, degrees))) = (strat, hetero) {
-            let order = linearize(wf, h.lin);
-            let j = optimize_joint_with(
-                wf,
-                platform,
-                &order,
-                h.ckpt,
-                policy,
-                degrees,
-                JOINT_ROUNDS,
-                SelectionSpec::Prefixes,
-                Some((hierarchy, &vec![0; n])),
-            )
-            .expect("the prefix family is infallible");
-            return Ok(StrategyOutcome {
-                name: h.name(),
-                expected: j.expected_makespan,
-                best_n: j.best_n,
-                replica_sets: Some(j.replica_sets),
-                tiers: j.tiers,
-                schedule: j.schedule,
-            });
-        }
+    let cell_sets = hetero.map(|(_, sets)| sets.as_slice());
+    if let (
+        Some((hierarchy, StorageSelect::PerTask)),
+        OptimizerSpec::Joint,
+        StrategyCell::Heuristic(h),
+        Some((platform, sets)),
+    ) = (storage, optimizer, strat, hetero)
+    {
+        return Ok(joint(wf, platform, sets, h, policy, Some(hierarchy)));
     }
+    // One optimization with every checkpoint on `tier` (`None`: the costs
+    // as declared — no scaled copy, no storage pricing).
+    let optimize = |tier: Option<(&StorageHierarchy, usize)>| {
+        if let (StrategyCell::Heuristic(h), Some((platform, sets))) = (strat, hetero) {
+            match optimizer {
+                OptimizerSpec::Proxy => {}
+                OptimizerSpec::ReplicationAware => {
+                    let ev = replicated_evaluator(wf, platform, sets, tier);
+                    return Ok(StrategyOutcome::heuristic(run_heuristic_with(
+                        wf, &ev, h, policy,
+                    )));
+                }
+                OptimizerSpec::Joint => {
+                    // A single-tier sub-hierarchy pins the tier (the
+                    // descent's tier pass is a no-op on one tier) while
+                    // budget and replica sets still co-optimize —
+                    // including the contention term at the actual
+                    // replica-group sizes.
+                    let sub = tier.map(|(hierarchy, t)| {
+                        StorageHierarchy::new(vec![hierarchy.tiers()[t].clone()])
+                            .expect("a validated tier forms a valid singleton hierarchy")
+                    });
+                    return Ok(joint(wf, platform, sets, h, policy, sub.as_ref()));
+                }
+            }
+        }
+        let priced: Cow<'_, Workflow> = match tier {
+            None => Cow::Borrowed(wf),
+            Some((hierarchy, t)) => Cow::Owned(storage_wf(
+                wf,
+                hierarchy,
+                &vec![t; n],
+                &replica_counts(n, cell_sets),
+            )),
+        };
+        let pwf = priced.as_ref();
+        let mut out = match strat {
+            // Quantile objectives sweep each heuristic's budget against a
+            // seeded Monte-Carlo quantile estimate under the cell's
+            // homogeneous exponential proxy (validation pins
+            // `optimizer == Proxy` for them). The `expected` column keeps
+            // its meaning — the analytic mean of the chosen schedule — so
+            // arms optimizing different objectives stay comparable.
+            StrategyCell::Heuristic(h) => match objective.quantile_target() {
+                Some((q, trials)) => {
+                    let mc = McObjective::homogeneous(
+                        pwf,
+                        model,
+                        TrialSpec::new(trials, seed ^ TAIL_OBJECTIVE_SALT),
+                    );
+                    let order = linearize(pwf, h.lin);
+                    let r = optimize_checkpoints_quantile(pwf, &mc, &order, h.ckpt, policy, q);
+                    let expected = evaluator::expected_makespan(pwf, model, &r.schedule);
+                    StrategyOutcome::of(h.name(), r.schedule, expected, r.best_n)
+                }
+                None => StrategyOutcome::heuristic(run_heuristic(pwf, model, h, policy)),
+            },
+            StrategyCell::ExactChain => StrategyOutcome::exact(
+                "ExactChain",
+                exact::chain::solve_chain(pwf, model)
+                    .ok_or_else(|| ScenarioError::new("ExactChain: workflow is not a chain"))?,
+            ),
+            StrategyCell::ExactFork => StrategyOutcome::exact(
+                "ExactFork",
+                exact::fork::solve_fork(pwf, model)
+                    .ok_or_else(|| ScenarioError::new("ExactFork: workflow is not a fork"))?,
+            ),
+            StrategyCell::ExactJoin => StrategyOutcome::exact(
+                "ExactJoin",
+                exact::join::solve_join_uniform(pwf, model).ok_or_else(|| {
+                    ScenarioError::new(
+                        "ExactJoin: workflow is not a join with uniform checkpoint costs",
+                    )
+                })?,
+            ),
+            StrategyCell::Young | StrategyCell::Daly => periodic(pwf, model, strat)?,
+        };
+        if let Some((platform, sets)) = hetero {
+            out.expected = replicated_evaluator(wf, platform, sets, tier)
+                .evaluate(&out.schedule)
+                .expected_makespan;
+        }
+        Ok(out)
+    };
+    let Some((hierarchy, select)) = storage else {
+        return optimize(None);
+    };
     let candidates: Vec<usize> = match select {
         StorageSelect::Fixed { tier } => vec![hierarchy
             .index_of(tier)
             .expect("validation pinned the fixed tier to the hierarchy")],
-        _ => (0..n_tiers).collect(),
+        _ => (0..hierarchy.n_tiers()).collect(),
     };
     let mut best: Option<(usize, StrategyOutcome)> = None;
-    for &tier in &candidates {
-        let tiers = vec![tier; n];
-        let out = match (optimizer, hetero) {
-            // Homogeneous (or degenerate-collapsed) cell: the scaled copy
-            // prices the tier exactly, so the optimizer and the expected
-            // value both run on it directly. The proxy optimizer on a
-            // platform works the same way — it optimizes under the
-            // single-machine view of the tier-priced copy — but its
-            // expected column is then re-derived below as the exact
-            // replicated, tier-priced value of that schedule.
-            (_, None) | (OptimizerSpec::Proxy, Some(_)) => {
-                let counts = replica_counts(n, hetero, None);
-                let swf = storage_wf(wf, hierarchy, &tiers, &counts);
-                let mut out =
-                    run_strategy(&swf, model, strat, policy, optimizer, objective, seed, None)?;
-                if let Some((platform, degrees)) = hetero {
-                    let ev = ReplicatedEvaluator::from_degrees(wf, platform, degrees)
-                        .with_storage(hierarchy, &tiers);
-                    out.expected = ev.evaluate(&out.schedule).expected_makespan;
-                }
-                out
-            }
-            // Validation pins non-proxy optimizers to heuristic
-            // strategies, so the destructuring below cannot fail.
-            (OptimizerSpec::ReplicationAware, Some((platform, degrees))) => {
-                let StrategyCell::Heuristic(h) = strat else {
-                    unreachable!("non-proxy optimizers are validated heuristic-only");
-                };
-                let ev = ReplicatedEvaluator::from_degrees(wf, platform, degrees)
-                    .with_storage(hierarchy, &tiers);
-                let r = run_heuristic_with(wf, &ev, h, policy);
-                StrategyOutcome {
-                    name: r.name,
-                    schedule: r.schedule,
-                    expected: r.expected_makespan,
-                    best_n: r.best_n,
-                    replica_sets: None,
-                    tiers: None,
-                }
-            }
-            (OptimizerSpec::Joint, Some((platform, degrees))) => {
-                let StrategyCell::Heuristic(h) = strat else {
-                    unreachable!("non-proxy optimizers are validated heuristic-only");
-                };
-                let order = linearize(wf, h.lin);
-                // A single-tier sub-hierarchy pins the tier (the descent's
-                // tier pass is a no-op on one tier) while budget and
-                // replica sets still co-optimize — including the
-                // contention term at the actual replica-group sizes.
-                let sub = StorageHierarchy::new(vec![hierarchy.tiers()[tier].clone()])
-                    .expect("a validated tier forms a valid singleton hierarchy");
-                let j = optimize_joint_with(
-                    wf,
-                    platform,
-                    &order,
-                    h.ckpt,
-                    policy,
-                    degrees,
-                    JOINT_ROUNDS,
-                    SelectionSpec::Prefixes,
-                    Some((&sub, &vec![0; n])),
-                )
-                .expect("the prefix family is infallible");
-                StrategyOutcome {
-                    name: h.name(),
-                    expected: j.expected_makespan,
-                    best_n: j.best_n,
-                    replica_sets: Some(j.replica_sets),
-                    tiers: None,
-                    schedule: j.schedule,
-                }
-            }
-        };
-        let better = match &best {
-            None => true,
-            Some((_, b)) => out.expected.total_cmp(&b.expected).is_lt(),
-        };
-        if better {
+    for tier in candidates {
+        let out = optimize(Some((hierarchy, tier)))?;
+        if best
+            .as_ref()
+            .is_none_or(|(_, b)| out.expected.total_cmp(&b.expected).is_lt())
+        {
             best = Some((tier, out));
         }
     }
@@ -457,31 +427,25 @@ fn run_strategy_storage(
         // evaluator reproduces the scalar model — downtime included —
         // exactly.
         let reference;
-        let (platform, degrees_own);
-        match hetero {
-            Some((p, d)) => {
-                platform = p;
-                degrees_own = d.clone();
-            }
+        let (platform, sets) = match hetero {
+            Some((platform, sets)) => (platform, out.replica_sets.as_ref().unwrap_or(sets)),
             None => {
-                reference = dagchkpt_failure::HeteroPlatform::new(
-                    vec![dagchkpt_failure::Processor::reference(model.lambda())],
-                    model.downtime(),
-                )
-                .expect("the reference machine is a valid platform");
-                platform = &reference;
-                degrees_own = vec![1; n];
+                reference = (
+                    HeteroPlatform::new(
+                        vec![dagchkpt_failure::Processor::reference(model.lambda())],
+                        model.downtime(),
+                    )
+                    .expect("the reference machine is a valid platform"),
+                    vec![vec![0]; n],
+                );
+                (&reference.0, &reference.1)
             }
-        }
-        let mut ev = match &out.replica_sets {
-            Some(sets) => ReplicatedEvaluator::from_sets(wf, platform, sets),
-            None => ReplicatedEvaluator::from_degrees(wf, platform, &degrees_own),
-        }
-        .with_storage(hierarchy, &vec![tier; n]);
+        };
+        let mut ev = replicated_evaluator(wf, platform, sets, Some((hierarchy, tier)));
         let (tiers, e, _) = select_storage(
             &mut ev,
             &out.schedule,
-            n_tiers,
+            hierarchy.n_tiers(),
             StorageStrategy::PerTask,
             JOINT_ROUNDS,
         );
@@ -559,8 +523,9 @@ impl<'a> FaultSource<'a> {
 }
 
 /// A cell's resolved heterogeneous execution context: the platform plus
-/// per-task replication degrees. `None` when the cell runs on the paper's
-/// single reference machine — including the **degenerate collapse**: a
+/// per-task replica sets — the fastest-first prefix of each task's
+/// replication degree. `None` when the cell runs on the paper's single
+/// reference machine — including the **degenerate collapse**: a
 /// single-reference-processor platform with all degrees 1 takes the
 /// homogeneous code path outright, which is what makes it reproduce the
 /// homogeneous outputs byte for byte.
@@ -568,7 +533,7 @@ fn resolve_hetero(
     plan: &CellPlan,
     wf: &Workflow,
     model: FaultModel,
-) -> Result<Option<(dagchkpt_failure::HeteroPlatform, Vec<usize>)>, ScenarioError> {
+) -> Result<Option<Hetero>, ScenarioError> {
     let Some(pspec) = &plan.platform else {
         return Ok(None);
     };
@@ -584,27 +549,9 @@ fn resolve_hetero(
     Ok(if degenerate {
         None
     } else {
-        Some((platform, degrees))
+        let sets = degrees.iter().map(|&d| (0..d).collect()).collect();
+        Some((platform, sets))
     })
-}
-
-/// Executes one cell: every strategy × simulator, in axis order.
-///
-/// Under the default `proxy` optimizer, schedules are optimized under the
-/// cell's proxy [`FaultModel`] (the paper's single-machine view); on a
-/// heterogeneous platform the `expected` column and the Monte-Carlo
-/// engines then re-evaluate the optimized schedule under replication — so
-/// the comparison isolates what the platform and replication change, not
-/// the optimizer. The `replication_aware` and `joint` optimizers instead
-/// dispatch each heuristic through the backend matching the cell's
-/// platform/replication axes (the replicated evaluator, or the joint
-/// coordinate descent whose per-task replica sets then replace the static
-/// degrees downstream).
-pub fn run_cell_plan(
-    spec: &ScenarioSpec,
-    plan: &CellPlan,
-) -> Result<Vec<CellResult>, ScenarioError> {
-    run_cell_full(spec, plan).map(|e| e.rows)
 }
 
 /// The optimized schedule behind one strategy's rows — what a serving
@@ -692,8 +639,19 @@ pub struct CellExecution {
     pub tenants: Vec<TenantRow>,
 }
 
-/// Executes one cell and returns rows *and* schedules — the entry point
-/// the serving daemon answers requests through.
+/// Executes one cell — every strategy × simulator, in axis order — and
+/// returns rows *and* schedules; the serving daemon answers requests
+/// through it too.
+///
+/// Under the default `proxy` optimizer, schedules are optimized under the
+/// cell's proxy [`FaultModel`] (the paper's single-machine view); on a
+/// heterogeneous platform the `expected` column and the Monte-Carlo
+/// engines then re-evaluate the optimized schedule under replication — so
+/// the comparison isolates what the platform and replication change, not
+/// the optimizer. The `replication_aware` and `joint` optimizers instead
+/// optimize each heuristic against the replicated evaluator on the cell's
+/// replica sets (the joint descent's per-task sets then replace the
+/// cell's downstream).
 pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecution, ScenarioError> {
     let source = &spec.workflows[plan.source];
     let wf = source.generate(plan.n, plan.seed)?;
@@ -711,7 +669,7 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
         ))
     };
     let hetero = resolve_hetero(plan, &wf, model).map_err(&ctx)?;
-    let stream = tenant_stream(spec, plan, tinf).map_err(&ctx)?;
+    let stream = tenant_stream(spec, plan, tinf, hetero.as_ref()).map_err(&ctx)?;
     let storage = spec.storage.resolve().map_err(&ctx)?;
     let faults = FaultSource::of_cell(&plan.failure);
     let proc_faults: Vec<FaultSource> = hetero.as_ref().map_or_else(Vec::new, |(platform, _)| {
@@ -721,49 +679,24 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
     let mut schedules = Vec::new();
     let mut tenants = Vec::new();
     for strat in spec.strategy_cells() {
-        let out = match &storage {
-            None => run_strategy(
-                &wf,
-                model,
-                strat,
-                policy,
-                plan.optimizer,
-                spec.objective,
-                plan.seed,
-                hetero.as_ref(),
-            ),
-            Some((hierarchy, select)) => run_strategy_storage(
-                &wf,
-                model,
-                strat,
-                policy,
-                plan.optimizer,
-                spec.objective,
-                plan.seed,
-                hetero.as_ref(),
-                hierarchy,
-                select,
-            ),
-        }
+        let out = run_strategy(
+            &wf,
+            model,
+            strat,
+            policy,
+            plan.optimizer,
+            spec.objective,
+            plan.seed,
+            hetero.as_ref(),
+            storage.as_ref(),
+        )
         .map_err(&ctx)?;
-        let expected = match &hetero {
-            None => out.expected,
-            // Storage outcomes already carry the exact tier-priced
-            // replicated value whatever the optimizer —
-            // `run_strategy_storage` derives it on the storage-aware
-            // evaluator for every candidate tier.
-            _ if storage.is_some() => out.expected,
-            // The aware and joint optimizers already optimized against —
-            // and reported — the exact replicated value (pinned
-            // bit-identical to a fresh evaluation by the optimizer tests);
-            // re-deriving it would double the analytic cost of the cell.
-            Some(_) if plan.optimizer != OptimizerSpec::Proxy => out.expected,
-            // Proxy: the schedule was optimized under the single-machine
-            // model, so the replicated value must be computed here.
-            Some((platform, degrees)) => {
-                dagchkpt_core::expected_makespan_replicated(&wf, platform, &out.schedule, degrees)
-            }
-        };
+        let expected = out.expected;
+        // The replica sets both Monte-Carlo engines run: the joint
+        // optimizer's when it picked them, the cell's otherwise.
+        let replicated = hetero
+            .as_ref()
+            .map(|(platform, sets)| (platform, out.replica_sets.as_ref().unwrap_or(sets)));
         schedules.push(ScheduleDetail {
             strategy: out.name.clone(),
             order: out.schedule.order().iter().map(|v| v.index()).collect(),
@@ -820,7 +753,7 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                 &wf,
                 hierarchy,
                 tiers,
-                &replica_counts(wf.n_tasks(), hetero.as_ref(), out.replica_sets.as_ref()),
+                &replica_counts(wf.n_tasks(), replicated.map(|(_, sets)| sets.as_slice())),
             )),
             _ => Cow::Borrowed(&wf),
         };
@@ -829,27 +762,19 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
             let (mc_mean, mc_sem, mc_p50, mc_p95, mc_p99) = match *sim {
                 SimulatorSpec::Analytic => nan5,
                 SimulatorSpec::MonteCarlo { trials } => {
-                    let stats = match (&hetero, &out.replica_sets) {
-                        (None, _) => run_trials_with(
+                    let stats = match replicated {
+                        None => run_trials_with(
                             &sim_wf,
                             &out.schedule,
                             plan.failure.downtime(),
                             TrialSpec::new(trials, plan.seed),
                             |seed| faults.injector(seed),
                         ),
-                        (Some((platform, _)), Some(sets)) => run_replicated_sets_trials_with(
+                        Some((platform, sets)) => run_replicated_sets_trials_with(
                             &sim_wf,
                             &out.schedule,
                             platform,
                             sets,
-                            TrialSpec::new(trials, plan.seed),
-                            |rank, seed| proc_faults[rank].injector(seed),
-                        ),
-                        (Some((platform, degrees)), None) => run_replicated_trials_with(
-                            &sim_wf,
-                            &out.schedule,
-                            platform,
-                            degrees,
                             TrialSpec::new(trials, plan.seed),
                             |rank, seed| proc_faults[rank].injector(seed),
                         ),
@@ -867,8 +792,8 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                     compute_rate,
                 } => {
                     let tspec = TrialSpec::new(trials, plan.seed);
-                    let (stats, sketch) = match (&hetero, &out.replica_sets) {
-                        (None, _) => {
+                    let (stats, sketch) = match replicated {
+                        None => {
                             let cfg = NonBlockingConfig {
                                 downtime: plan.failure.downtime(),
                                 compute_rate,
@@ -882,29 +807,15 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                                 |seed| faults.injector(seed),
                             )
                         }
-                        (Some((platform, degrees)), sets) => {
-                            // A degree assignment is its prefix sets.
-                            let prefix_sets: Vec<Vec<usize>>;
-                            let sets = match sets {
-                                Some(sets) => sets,
-                                None => {
-                                    prefix_sets = degrees
-                                        .iter()
-                                        .map(|&d| (0..d.clamp(1, platform.n_procs())).collect())
-                                        .collect();
-                                    &prefix_sets
-                                }
-                            };
-                            run_replicated_nonblocking_trials_with(
-                                &sim_wf,
-                                &out.schedule,
-                                platform,
-                                sets,
-                                compute_rate,
-                                tspec,
-                                |rank, seed| proc_faults[rank].injector(seed),
-                            )
-                        }
+                        Some((platform, sets)) => run_replicated_nonblocking_trials_with(
+                            &sim_wf,
+                            &out.schedule,
+                            platform,
+                            sets,
+                            compute_rate,
+                            tspec,
+                            |rank, seed| proc_faults[rank].injector(seed),
+                        ),
                     };
                     (
                         stats.mean(),
@@ -966,14 +877,16 @@ struct TenantStream {
 /// arrival instants from the cell seed, round-robin tenant assignment,
 /// per-tenant SLO deadlines of `slo_factor × T∞` (strategy-independent,
 /// so heuristics compete against the same deadline), and the platform's
-/// processor speeds. The per-job fault streams use the cell's reference
-/// failure model; processor speed scales each job's whole execution — an
-/// approximation that is exact on uniform platforms. Returns `None` when
-/// the spec has no stream.
+/// processor speeds (the reference machine's unit speed on the
+/// homogeneous path, degenerate collapse included). The per-job fault
+/// streams use the cell's reference failure model; processor speed scales
+/// each job's whole execution — an approximation that is exact on uniform
+/// platforms. Returns `None` when the spec has no stream.
 fn tenant_stream(
     spec: &ScenarioSpec,
     plan: &CellPlan,
     tinf: f64,
+    hetero: Option<&Hetero>,
 ) -> Result<Option<TenantStream>, ScenarioError> {
     if ArrivalSpec::is_off(&spec.arrivals) {
         return Ok(None);
@@ -989,15 +902,10 @@ fn tenant_stream(
             tenant: k % tenants.len(),
         })
         .collect();
-    let speeds: Vec<f64> = match &plan.platform {
-        None => vec![1.0],
-        Some(p) => p
-            .resolve(&plan.failure)?
-            .procs()
-            .iter()
-            .map(|pr| pr.speed)
-            .collect(),
-    };
+    let speeds: Vec<f64> = hetero.map_or_else(
+        || vec![1.0],
+        |(platform, _)| platform.procs().iter().map(|p| p.speed).collect(),
+    );
     let policy = match spec.tenancy.policy {
         AdmissionPolicy::Fcfs => TenantPolicy::Fcfs,
         AdmissionPolicy::Priority => TenantPolicy::Priority,
@@ -1043,7 +951,7 @@ fn tenant_stream(
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<Vec<CellResult>, ScenarioError> {
     let mut out = Vec::new();
     for plan in spec.expand()? {
-        out.extend(run_cell_plan(spec, &plan)?);
+        out.extend(run_cell_full(spec, &plan)?.rows);
     }
     Ok(out)
 }

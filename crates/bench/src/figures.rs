@@ -270,7 +270,7 @@ pub fn fig7_campaign(scale: Scale, seed: u64) -> Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_cell_plan, RunContext};
+    use crate::campaign::{run_cell_full, RunContext};
 
     #[test]
     fn lambda_grids_match_paper_ticks() {
@@ -332,7 +332,7 @@ mod tests {
         let cells = scenario.expand().unwrap();
         // Legacy seeds: master ^ n.
         assert!(cells.iter().all(|p| p.seed == 1 ^ p.n as u64));
-        let rows = run_cell_plan(scenario, &cells[0]).unwrap();
+        let rows = run_cell_full(scenario, &cells[0]).unwrap().rows;
         assert_eq!(rows.len(), 6);
         assert!(rows.iter().all(|r| r.workflow == "CyberShake"));
         assert!(rows.iter().all(|r| r.ratio >= 1.0 && r.ratio.is_finite()));

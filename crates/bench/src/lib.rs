@@ -51,8 +51,8 @@ pub use campaign::{
 };
 pub use cli::{CampaignArgs, Options, Scale};
 pub use exec::{
-    cell_best_rows, cell_csv_rows, run_cell_full, run_cell_plan, stage_header, tenant_csv_rows,
-    CellExecution, ScheduleDetail, TenantRow, GENERIC_HEADER, TENANT_HEADER,
+    cell_best_rows, cell_csv_rows, run_cell_full, stage_header, tenant_csv_rows, CellExecution,
+    ScheduleDetail, TenantRow, GENERIC_HEADER, TENANT_HEADER,
 };
 pub use runner::{auto_policy, run_cell, Cell, Row};
 pub use scenario::{

@@ -109,11 +109,19 @@
 //! ([`ReplicatedEvaluator::evaluate`], [`crate::Objective::cost`]) compile
 //! a fresh one per call. Same code, same bits.
 //!
-//! On a **degenerate** platform (one reference processor) with all degrees
-//! 1 the evaluator delegates to [`crate::evaluator::evaluate`], so the
+//! On a **degenerate** platform (one reference processor) with every set
+//! `[0]` the evaluator delegates to [`crate::evaluator::evaluate`], so the
 //! homogeneous results are reproduced bit for bit; the non-delegated
 //! formulas agree with Equation (1) to floating-point accuracy (see the
 //! tests).
+//!
+//! Replica sets are the representation. The degree entry points
+//! ([`ReplicatedEvaluator::from_degrees`], [`evaluate_replicated`],
+//! [`expected_makespan_replicated`], and `optimize_joint` in
+//! [`crate::strategies`]) are adapters kept for existing callers: each
+//! turns degree `d` into the fastest-first prefix set `[0, …, d−1]`,
+//! clamped to `[1, P]` (so a degree of 0 behaves exactly like a degree of
+//! 1), and calls its `_sets` twin.
 
 use crate::evaluator::plan::{report_of, tri, EvalPlan, LostSets};
 use crate::evaluator::{self, checkpoint_flags_into, EvalReport, EvalScratch};
@@ -250,6 +258,17 @@ fn normalize_into(set: &[usize], n_procs: usize, out: &mut Vec<usize>) {
     if out.is_empty() {
         out.push(0);
     }
+}
+
+/// The fastest-first prefix sets `[0, 1, …, d−1]` of per-task replication
+/// `degrees`, each clamped to `[1, n_procs]` — how every degree entry
+/// point turns its degrees into the replica sets it delegates with (a
+/// degree of 0 therefore delegates exactly as a degree of 1).
+pub(crate) fn prefix_sets(degrees: &[usize], n_procs: usize) -> Vec<Vec<usize>> {
+    degrees
+        .iter()
+        .map(|&d| (0..d.clamp(1, n_procs.max(1))).collect())
+        .collect()
 }
 
 /// Number of processor/injector ranks a replica assignment needs: one per
@@ -663,19 +682,15 @@ impl<'a> ReplicatedEvaluator<'a> {
     }
 
     /// Evaluator over fastest-first prefix sets of the given degrees (the
-    /// historical [`crate::ReplicationStrategy`] shape).
+    /// historical [`crate::ReplicationStrategy`] shape; degrees are clamped
+    /// to `[1, P]`) — an adapter kept for degree-based callers.
     pub fn from_degrees(wf: &'a Workflow, platform: &'a HeteroPlatform, degrees: &[usize]) -> Self {
         assert_eq!(
             degrees.len(),
             wf.n_tasks(),
             "one replication degree per task"
         );
-        let n_procs = platform.n_procs().max(1);
-        let sets = degrees
-            .iter()
-            .map(|&d| (0..d.clamp(1, n_procs)).collect())
-            .collect();
-        Self::with_sets(wf, platform, sets)
+        Self::with_sets(wf, platform, prefix_sets(degrees, platform.n_procs()))
     }
 
     /// The normalized per-task replica sets.
@@ -818,7 +833,8 @@ impl<'a> ReplicatedEvaluator<'a> {
 }
 
 /// Expected makespan of `schedule` on `platform` with per-task replication
-/// `degrees` (indexed by task id, clamped to `[1, n_procs]`).
+/// `degrees` (indexed by task id, clamped to `[1, n_procs]`) — the degree
+/// adapter of [`evaluate_replicated_sets`].
 pub fn expected_makespan_replicated(
     wf: &Workflow,
     platform: &HeteroPlatform,
@@ -829,8 +845,8 @@ pub fn expected_makespan_replicated(
 }
 
 /// Full replication-aware evaluation over fastest-first prefix replica
-/// sets of the given `degrees` — the one-shot entry point
-/// ([`ReplicatedEvaluator`] is the amortized one).
+/// sets of the given `degrees` — the degree adapter of
+/// [`evaluate_replicated_sets`].
 ///
 /// # Panics
 ///
@@ -844,20 +860,12 @@ pub fn evaluate_replicated(
     schedule: &Schedule,
     degrees: &[usize],
 ) -> EvalReport {
-    assert_eq!(
-        degrees.len(),
-        wf.n_tasks(),
-        "one replication degree per task"
-    );
-    if platform.is_degenerate() && degrees.iter().all(|&d| d == 1) {
-        // Bit-for-bit reproduction of the homogeneous evaluator.
-        return evaluator::evaluate(wf, platform.fault_model(), schedule);
-    }
     ReplicatedEvaluator::from_degrees(wf, platform, degrees).evaluate(schedule)
 }
 
 /// Full replication-aware evaluation over explicit per-task replica
-/// `sets` (processor indices into `platform.procs()`).
+/// `sets` (processor indices into `platform.procs()`) — the one-shot entry
+/// point ([`ReplicatedEvaluator`] is the amortized one).
 pub fn evaluate_replicated_sets(
     wf: &Workflow,
     platform: &HeteroPlatform,

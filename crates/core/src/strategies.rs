@@ -35,7 +35,7 @@
 //! (checkpoint budget × per-task replica sets) until a joint fixed point.
 
 use crate::evaluator::replicated::{
-    normalize_replica_set, ReplicatedEvaluator, MAX_REPLICATION_DEGREE,
+    normalize_replica_set, prefix_sets, ReplicatedEvaluator, MAX_REPLICATION_DEGREE,
 };
 use crate::evaluator::EvalPlan;
 use crate::model::Workflow;
@@ -914,7 +914,8 @@ fn select_replicas_pass(
 /// with fastest-first prefixes (the static strategy family), so the result
 /// is **never worse than the replication-aware sweep alone** — round 1's
 /// sweep *is* that sweep, and every later move is accepted only on strict
-/// improvement.
+/// improvement. A degree adapter: [`optimize_joint_with`] takes the
+/// initial replica sets themselves.
 pub fn optimize_joint(
     wf: &Workflow,
     platform: &HeteroPlatform,
@@ -930,7 +931,7 @@ pub fn optimize_joint(
         order,
         strategy,
         policy,
-        init_degrees,
+        &prefix_sets(init_degrees, platform.n_procs()),
         max_rounds,
         SelectionSpec::Prefixes,
         None,
@@ -938,8 +939,11 @@ pub fn optimize_joint(
     .expect("the prefix family is infallible")
 }
 
-/// [`optimize_joint`] under an explicit candidate family
-/// ([`SelectionSpec`], see [`select_replicas_with`]) and, with
+/// [`optimize_joint`] from explicit initial replica sets `init_sets` (one
+/// per task, normalized like [`ReplicatedEvaluator::from_sets`]; the
+/// selection candidates are capped at the largest initial set size), under
+/// an explicit candidate family ([`SelectionSpec`], see
+/// [`select_replicas_with`]) and, with
 /// `storage = Some((hierarchy, init_tiers))`, the **third axis**:
 /// coordinate descent over (checkpoint budget × per-task replica sets ×
 /// per-task storage tiers). Each round sweeps the budget under the current
@@ -954,25 +958,21 @@ pub fn optimize_joint_with(
     order: &[NodeId],
     strategy: CheckpointStrategy,
     policy: SweepPolicy,
-    init_degrees: &[usize],
+    init_sets: &[Vec<usize>],
     max_rounds: usize,
     selection: SelectionSpec,
     storage: Option<(&StorageHierarchy, &[usize])>,
 ) -> Result<JointSchedule, ExhaustiveSelectionError> {
-    let n_procs = platform.n_procs().max(1);
-    let max_degree = init_degrees
-        .iter()
-        .map(|&d| d.clamp(1, n_procs))
-        .max()
-        .unwrap_or(1)
-        .clamp(1, MAX_REPLICATION_DEGREE.min(n_procs));
-    let init_sets: Vec<Vec<usize>> = init_degrees
-        .iter()
-        .map(|&d| (0..d.clamp(1, n_procs)).collect())
-        .collect();
     // One evaluator for the whole descent: every selection move resumes
     // its scratch, across both coordinates and across rounds.
-    let mut ev = ReplicatedEvaluator::from_sets(wf, platform, &init_sets);
+    let mut ev = ReplicatedEvaluator::from_sets(wf, platform, init_sets);
+    let max_degree = ev
+        .sets()
+        .iter()
+        .map(Vec::len)
+        .max()
+        .unwrap_or(1)
+        .clamp(1, MAX_REPLICATION_DEGREE.min(platform.n_procs().max(1)));
     if let Some((hierarchy, init_tiers)) = storage {
         ev = ev.with_storage(hierarchy, init_tiers);
     }
@@ -1310,7 +1310,7 @@ mod tests {
             &order,
             CheckpointStrategy::ByDecreasingWork,
             SweepPolicy::Exhaustive,
-            &[2; 6],
+            &vec![vec![0, 1]; 6],
             4,
             SelectionSpec::Prefixes,
             Some((&h, &[0; 6])),
@@ -2085,7 +2085,7 @@ mod tests {
             &order,
             CheckpointStrategy::ByDecreasingWork,
             SweepPolicy::Exhaustive,
-            &[1; 6],
+            &init,
             1,
             SelectionSpec::Exhaustive,
             None,

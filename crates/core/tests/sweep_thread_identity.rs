@@ -220,7 +220,7 @@ fn replicated_optimizers_are_identical_for_any_thread_count() {
                         &order,
                         s,
                         policy,
-                        &degrees,
+                        &vec![vec![0, 1]; n],
                         3,
                         SelectionSpec::Prefixes,
                         Some((&hierarchy, &vec![1; n])),

@@ -6,10 +6,9 @@
 //! # Shared semantics
 //!
 //! For every block attempt, replica `p` (a member of the task's **replica
-//! set** — historically the first `r_i` processors of the platform's
-//! canonical order, or any explicit subset through the `*_sets` entry
-//! points, which is what the joint optimizer's per-task replica selection
-//! produces) computes its deterministic completion time
+//! set** — any subset of the platform's processors, which is what the
+//! joint optimizer's per-task replica selection produces) computes its
+//! deterministic completion time
 //! `d_p` from its speed and bandwidths and draws its first fault from its
 //! own injector, **renewed at the attempt start**. The attempt succeeds at
 //! `min{d_p : F_p ≥ d_p}`; when every replica faults first (a *group
@@ -56,10 +55,24 @@
 //! storage-aware analytic evaluator unchanged; a unit tier scales by
 //! exactly `1.0`, which is bitwise invisible.
 //!
+//! # Replica sets and degree adapters
+//!
+//! Per-task replica sets are the representation: the `*_sets` entry
+//! points ([`simulate_replicated_sets`],
+//! [`simulate_replicated_nonblocking_sets`],
+//! [`run_replicated_sets_trials_with`] and
+//! [`run_replicated_nonblocking_trials_with`]) run the engines. The degree
+//! entry points ([`simulate_replicated`],
+//! [`simulate_replicated_nonblocking`], [`run_replicated_trials_with`])
+//! are adapters kept for existing callers: degree `d` becomes the
+//! fastest-first prefix set `[0, …, d−1]`, clamped to `[1, P]`, and the
+//! call goes to the `*_sets` twin. A degree of 0 therefore behaves exactly
+//! like a degree of 1.
+//!
 //! # Degenerate delegation
 //!
-//! On a degenerate platform (one reference processor) with all degrees 1,
-//! both engines and the trial runner delegate to their homogeneous
+//! On a degenerate platform (one reference processor) with every set
+//! `[0]`, both engines and the trial runners delegate to their homogeneous
 //! counterparts, with processor rank 0 seeded by `TrialSpec::trial_seed`
 //! verbatim ([`TrialSpec::proc_seed`]) — so a degenerate platform
 //! reproduces the homogeneous statistics **bit for bit**.
@@ -131,20 +144,10 @@ fn empty_result() -> SimResult {
     }
 }
 
-fn delegates(platform: &HeteroPlatform, degrees: &[usize]) -> bool {
-    platform.is_degenerate() && degrees.iter().all(|&d| d == 1)
-}
-
-fn delegates_sets(platform: &HeteroPlatform, sets: &[Vec<usize>]) -> bool {
+/// `true` when normalized `sets` on `platform` run on the homogeneous
+/// engines (see the module docs).
+fn delegates(platform: &HeteroPlatform, sets: &[Vec<usize>]) -> bool {
     platform.is_degenerate() && sets.iter().all(|s| s.as_slice() == [0])
-}
-
-fn max_degree(platform: &HeteroPlatform, degrees: &[usize]) -> usize {
-    degrees
-        .iter()
-        .map(|&d| d.clamp(1, platform.n_procs()))
-        .max()
-        .unwrap_or(1)
 }
 
 /// Normalizes per-task replica sets against the platform (sorted, deduped,
@@ -155,14 +158,18 @@ fn normalized_sets(platform: &HeteroPlatform, sets: &[Vec<usize>]) -> Vec<Vec<us
         .collect()
 }
 
-/// The canonical prefix table `[0, 1, …, P−1]`; a degree-`r` replica set
-/// is `&prefix[..r]`.
-fn prefix_table(platform: &HeteroPlatform) -> Vec<usize> {
-    (0..platform.n_procs()).collect()
+/// The fastest-first prefix sets `[0, …, d−1]` of per-task replication
+/// `degrees`, each clamped to `[1, P]` — what every degree adapter hands
+/// its `*_sets` twin.
+fn prefix_sets(platform: &HeteroPlatform, degrees: &[usize]) -> Vec<Vec<usize>> {
+    degrees
+        .iter()
+        .map(|&d| (0..d.clamp(1, platform.n_procs())).collect())
+        .collect()
 }
 
-/// Simulates `schedule` once on `platform` with per-task replication
-/// `degrees` (indexed by task id) and synchronous checkpoint writes.
+/// [`simulate_replicated_sets`] with per-task replication `degrees`
+/// (indexed by task id) as fastest-first prefix sets — the degree adapter.
 /// `injectors[rank]` is processor rank `rank`'s fault source; at least
 /// `max(degrees)` injectors are required.
 pub fn simulate_replicated<I: FaultInjector>(
@@ -172,32 +179,20 @@ pub fn simulate_replicated<I: FaultInjector>(
     degrees: &[usize],
     injectors: &mut [I],
 ) -> SimResult {
-    let n = wf.n_tasks();
-    assert_eq!(degrees.len(), n, "one replication degree per task");
-    if delegates(platform, degrees) {
-        return simulate(
-            wf,
-            schedule,
-            &mut injectors[0],
-            SimConfig {
-                downtime: platform.downtime(),
-                record_trace: false,
-            },
-        );
-    }
-    let prefix = prefix_table(platform);
-    let sets: Vec<&[usize]> = degrees
-        .iter()
-        .map(|&d| &prefix[..d.clamp(1, prefix.len())])
-        .collect();
-    simulate_replicated_on(wf, schedule, platform, &sets, injectors)
+    assert_eq!(
+        degrees.len(),
+        wf.n_tasks(),
+        "one replication degree per task"
+    );
+    let sets = prefix_sets(platform, degrees);
+    simulate_replicated_sets(wf, schedule, platform, &sets, injectors)
 }
 
-/// [`simulate_replicated`] over explicit per-task replica **sets**
-/// (processor indices into `platform.procs()`; `injectors` is indexed by
-/// processor, so it must cover the largest index any set uses). Sets are
-/// normalized like the analytic evaluator's. A prefix assignment
-/// reproduces the degree API draw for draw.
+/// Simulates `schedule` once on `platform` with explicit per-task replica
+/// **sets** (processor indices into `platform.procs()`; `injectors` is
+/// indexed by processor, so it must cover the largest index any set uses)
+/// and synchronous checkpoint writes. Sets are normalized like the
+/// analytic evaluator's.
 pub fn simulate_replicated_sets<I: FaultInjector>(
     wf: &Workflow,
     schedule: &Schedule,
@@ -207,7 +202,7 @@ pub fn simulate_replicated_sets<I: FaultInjector>(
 ) -> SimResult {
     assert_eq!(sets.len(), wf.n_tasks(), "one replica set per task");
     let sets = normalized_sets(platform, sets);
-    if delegates_sets(platform, &sets) {
+    if delegates(platform, &sets) {
         return simulate(
             wf,
             schedule,
@@ -342,9 +337,8 @@ pub fn simulate_replicated_planned<I: FaultInjector>(
     res
 }
 
-/// Simulates `schedule` once on `platform` with replication and
-/// **non-blocking** checkpoint writes overlapping subsequent computation at
-/// `compute_rate` (see the module docs for the exact semantics).
+/// [`simulate_replicated_nonblocking_sets`] with per-task replication
+/// `degrees` as fastest-first prefix sets — the degree adapter.
 pub fn simulate_replicated_nonblocking<I: FaultInjector>(
     wf: &Workflow,
     schedule: &Schedule,
@@ -353,34 +347,20 @@ pub fn simulate_replicated_nonblocking<I: FaultInjector>(
     injectors: &mut [I],
     compute_rate: f64,
 ) -> SimResult {
-    assert!(
-        compute_rate > 0.0 && compute_rate <= 1.0,
-        "compute_rate must be in (0, 1]"
+    assert_eq!(
+        degrees.len(),
+        wf.n_tasks(),
+        "one replication degree per task"
     );
-    let n = wf.n_tasks();
-    assert_eq!(degrees.len(), n, "one replication degree per task");
-    if delegates(platform, degrees) {
-        return simulate_nonblocking(
-            wf,
-            schedule,
-            &mut injectors[0],
-            NonBlockingConfig {
-                downtime: platform.downtime(),
-                compute_rate,
-                record_trace: false,
-            },
-        );
-    }
-    let prefix = prefix_table(platform);
-    let sets: Vec<&[usize]> = degrees
-        .iter()
-        .map(|&d| &prefix[..d.clamp(1, prefix.len())])
-        .collect();
-    simulate_replicated_nonblocking_on(wf, schedule, platform, &sets, injectors, compute_rate)
+    let sets = prefix_sets(platform, degrees);
+    simulate_replicated_nonblocking_sets(wf, schedule, platform, &sets, injectors, compute_rate)
 }
 
-/// [`simulate_replicated_nonblocking`] over explicit per-task replica
-/// sets (see [`simulate_replicated_sets`] for the indexing convention).
+/// Simulates `schedule` once on `platform` over explicit per-task replica
+/// sets (see [`simulate_replicated_sets`] for the indexing convention)
+/// with **non-blocking** checkpoint writes overlapping subsequent
+/// computation at `compute_rate` (see the module docs for the exact
+/// semantics).
 pub fn simulate_replicated_nonblocking_sets<I: FaultInjector>(
     wf: &Workflow,
     schedule: &Schedule,
@@ -395,7 +375,7 @@ pub fn simulate_replicated_nonblocking_sets<I: FaultInjector>(
     );
     assert_eq!(sets.len(), wf.n_tasks(), "one replica set per task");
     let sets = normalized_sets(platform, sets);
-    if delegates_sets(platform, &sets) {
+    if delegates(platform, &sets) {
         return simulate_nonblocking(
             wf,
             schedule,
@@ -517,12 +497,8 @@ fn simulate_replicated_nonblocking_on<I: FaultInjector>(
     res
 }
 
-/// Replicated Monte-Carlo trial runner: `make_injector(rank, seed)` builds
-/// processor rank `rank`'s fault source for one trial, seeded by
-/// [`TrialSpec::proc_seed`]. Statistics aggregate through the same chunked
-/// accumulators as [`crate::run_trials_with`] — bit-identical for any
-/// thread count, all-NaN for zero trials — and the degenerate platform
-/// delegates to the homogeneous runner bit for bit.
+/// [`run_replicated_sets_trials_with`] with per-task replication
+/// `degrees` as fastest-first prefix sets — the degree adapter.
 pub fn run_replicated_trials_with<I, F>(
     wf: &Workflow,
     schedule: &Schedule,
@@ -535,50 +511,8 @@ where
     I: FaultInjector + Send,
     F: Fn(usize, u64) -> I + Sync,
 {
-    if delegates(platform, degrees) {
-        return crate::montecarlo::run_trials_with(
-            wf,
-            schedule,
-            platform.downtime(),
-            spec,
-            |seed| make_injector(0, seed),
-        );
-    }
-    let ranks = max_degree(platform, degrees);
-    let prefix = prefix_table(platform);
-    let sets: Vec<&[usize]> = degrees
-        .iter()
-        .map(|&d| &prefix[..d.clamp(1, prefix.len())])
-        .collect();
-    run_planned_replicated(wf, schedule, platform, &sets, ranks, spec, make_injector)
-}
-
-/// Shared fast-path spine of both replicated runners: one compiled
-/// [`TrialPlan`] for all threads, and per fold chunk one reusable per-rank
-/// injector vector (`clear` + `extend` per trial — no per-trial
-/// allocation).
-fn run_planned_replicated<I, F>(
-    wf: &Workflow,
-    schedule: &Schedule,
-    platform: &HeteroPlatform,
-    sets: &[&[usize]],
-    ranks: usize,
-    spec: TrialSpec,
-    make_injector: F,
-) -> TrialStats
-where
-    I: FaultInjector + Send,
-    F: Fn(usize, u64) -> I + Sync,
-{
-    let plan = TrialPlan::compile(wf, schedule);
-    planned_result_stats(
-        spec,
-        || Vec::with_capacity(ranks),
-        |injectors: &mut Vec<I>, i| {
-            fill_injectors(injectors, ranks, spec, i, &make_injector);
-            simulate_replicated_planned(&plan, platform, sets, injectors)
-        },
-    )
+    let sets = prefix_sets(platform, degrees);
+    run_replicated_sets_trials_with(wf, schedule, platform, &sets, spec, make_injector)
 }
 
 /// Refills `injectors` with trial `i`'s per-rank fault sources.
@@ -593,13 +527,18 @@ fn fill_injectors<I>(
     injectors.extend((0..ranks).map(|rank| make_injector(rank, spec.proc_seed(i, rank))));
 }
 
-/// [`run_replicated_trials_with`] over explicit per-task replica sets —
-/// the Monte-Carlo twin of `dagchkpt_core::evaluate_replicated_sets`, and
-/// the engine that cross-validates the joint optimizer's winning
-/// (schedule, assignment) pairs. Injectors are created for every processor
-/// rank up to the largest index any set uses, seeded by
-/// [`TrialSpec::proc_seed`]; a prefix assignment reproduces
-/// [`run_replicated_trials_with`] bit for bit.
+/// Replicated Monte-Carlo trial runner over explicit per-task replica
+/// sets — the Monte-Carlo twin of `dagchkpt_core::evaluate_replicated_sets`,
+/// and the engine that cross-validates the joint optimizer's winning
+/// (schedule, assignment) pairs. `make_injector(rank, seed)` builds
+/// processor rank `rank`'s fault source for one trial, for every rank up
+/// to the largest index any set uses, seeded by [`TrialSpec::proc_seed`].
+/// Statistics aggregate through the same chunked accumulators as
+/// [`crate::run_trials_with`] — bit-identical for any thread count,
+/// all-NaN for zero trials — and the degenerate platform delegates to the
+/// homogeneous runner bit for bit. One compiled [`TrialPlan`] serves all
+/// threads, and each fold chunk reuses one per-rank injector vector
+/// (`clear` + `extend` per trial — no per-trial allocation).
 pub fn run_replicated_sets_trials_with<I, F>(
     wf: &Workflow,
     schedule: &Schedule,
@@ -614,7 +553,7 @@ where
 {
     assert_eq!(sets.len(), wf.n_tasks(), "one replica set per task");
     let sets = normalized_sets(platform, sets);
-    if delegates_sets(platform, &sets) {
+    if delegates(platform, &sets) {
         return crate::montecarlo::run_trials_with(
             wf,
             schedule,
@@ -625,7 +564,15 @@ where
     }
     let ranks = dagchkpt_core::replica_rank_count(&sets);
     let refs: Vec<&[usize]> = sets.iter().map(|s| s.as_slice()).collect();
-    run_planned_replicated(wf, schedule, platform, &refs, ranks, spec, make_injector)
+    let plan = TrialPlan::compile(wf, schedule);
+    planned_result_stats(
+        spec,
+        || Vec::with_capacity(ranks),
+        |injectors: &mut Vec<I>, i| {
+            fill_injectors(injectors, ranks, spec, i, &make_injector);
+            simulate_replicated_planned(&plan, platform, &refs, injectors)
+        },
+    )
 }
 
 /// Replicated **non-blocking** Monte-Carlo runner over explicit per-task
@@ -655,7 +602,7 @@ where
     );
     assert_eq!(sets.len(), wf.n_tasks(), "one replica set per task");
     let sets = normalized_sets(platform, sets);
-    if delegates_sets(platform, &sets) {
+    if delegates(platform, &sets) {
         let cfg = NonBlockingConfig {
             downtime: platform.downtime(),
             compute_rate,
@@ -769,7 +716,8 @@ mod tests {
         let s = Schedule::always(&wf, topo::topological_order(wf.dag())).unwrap();
         let platform = HeteroPlatform::homogeneous(1, 3e-3, 1.0).unwrap();
         let spec = TrialSpec::new(2_000, 11);
-        let rep = run_replicated_trials_with(&wf, &s, &platform, &[1; 10], spec, |_, seed| {
+        let degrees = vec![1; wf.n_tasks()];
+        let rep = run_replicated_trials_with(&wf, &s, &platform, &degrees, spec, |_, seed| {
             ExponentialInjector::new(3e-3, seed)
         });
         let hom = run_trials_with(&wf, &s, 1.0, spec, |seed| {

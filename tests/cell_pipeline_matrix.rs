@@ -149,7 +149,10 @@ fn render() -> String {
             let arm = format!("{}/{storage_tag}", optimizer.label());
             for plan in spec.expand().expect("validated") {
                 let exec = run_cell_full(&spec, &plan).expect("cell runs");
-                let platform = plan.platform.as_ref().map_or_else(String::new, |p| p.label());
+                let platform = plan
+                    .platform
+                    .as_ref()
+                    .map_or_else(String::new, |p| p.label());
                 for r in &exec.rows {
                     out.push_str(&format!(
                         "row,{arm},{},{platform},{},{},{:?},{},{:?},{:?},{:?},{:?},{:?},{:?},{}\n",
@@ -268,5 +271,8 @@ fn degenerate_per_task_keeps_the_cell_downtime() {
             f.expected
         );
     }
-    assert!(uniform > 0, "no strategy landed on a uniform tier assignment");
+    assert!(
+        uniform > 0,
+        "no strategy landed on a uniform tier assignment"
+    );
 }
