@@ -179,11 +179,6 @@ pub fn simulate_replicated<I: FaultInjector>(
     degrees: &[usize],
     injectors: &mut [I],
 ) -> SimResult {
-    assert_eq!(
-        degrees.len(),
-        wf.n_tasks(),
-        "one replication degree per task"
-    );
     let sets = prefix_sets(platform, degrees);
     simulate_replicated_sets(wf, schedule, platform, &sets, injectors)
 }
@@ -347,11 +342,6 @@ pub fn simulate_replicated_nonblocking<I: FaultInjector>(
     injectors: &mut [I],
     compute_rate: f64,
 ) -> SimResult {
-    assert_eq!(
-        degrees.len(),
-        wf.n_tasks(),
-        "one replication degree per task"
-    );
     let sets = prefix_sets(platform, degrees);
     simulate_replicated_nonblocking_sets(wf, schedule, platform, &sets, injectors, compute_rate)
 }
