@@ -17,8 +17,7 @@ use crate::scenario::{
 use dagchkpt_core::{
     evaluator, exact, linearize, optimize_checkpoints_quantile, optimize_joint_with, run_heuristic,
     run_heuristic_with, select_storage, storage_scales, Heuristic, HeuristicResult,
-    LinearizationStrategy, ReplicatedEvaluator, Schedule, SelectionSpec, StorageStrategy,
-    SweepPolicy, Workflow,
+    LinearizationStrategy, ReplicatedEvaluator, Schedule, SweepPolicy, Workflow,
 };
 use dagchkpt_failure::{
     daly, ExponentialInjector, FaultInjector, FaultModel, HeteroPlatform, StorageHierarchy,
@@ -206,7 +205,6 @@ fn joint(
     hierarchy: Option<&StorageHierarchy>,
 ) -> StrategyOutcome {
     let order = linearize(wf, h.lin);
-    let init_tiers = vec![0; wf.n_tasks()];
     let j = optimize_joint_with(
         wf,
         platform,
@@ -215,10 +213,8 @@ fn joint(
         policy,
         sets,
         JOINT_ROUNDS,
-        SelectionSpec::Prefixes,
-        hierarchy.map(|hierarchy| (hierarchy, init_tiers.as_slice())),
-    )
-    .expect("the prefix family is infallible");
+        hierarchy,
+    );
     StrategyOutcome {
         name: h.name(),
         expected: j.expected_makespan,
@@ -428,7 +424,7 @@ fn run_strategy(
         // exactly.
         let reference;
         let (platform, sets) = match hetero {
-            Some((platform, sets)) => (platform, out.replica_sets.as_ref().unwrap_or(sets)),
+            Some(hetero) => hetero,
             None => {
                 reference = (
                     HeteroPlatform::new(
@@ -438,17 +434,12 @@ fn run_strategy(
                     .expect("the reference machine is a valid platform"),
                     vec![vec![0]; n],
                 );
-                (&reference.0, &reference.1)
+                &reference
             }
         };
         let mut ev = replicated_evaluator(wf, platform, sets, Some((hierarchy, tier)));
-        let (tiers, e, _) = select_storage(
-            &mut ev,
-            &out.schedule,
-            hierarchy.n_tiers(),
-            StorageStrategy::PerTask,
-            JOINT_ROUNDS,
-        );
+        let (tiers, e, _) =
+            select_storage(&mut ev, &out.schedule, hierarchy.n_tiers(), JOINT_ROUNDS);
         out.tiers = Some(tiers);
         out.expected = e;
     }
@@ -710,9 +701,21 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                 .map(|_| storage_label(storage.as_ref(), out.tiers.as_ref())),
             tiers: out.tiers.clone(),
         });
+        // Every Monte-Carlo engine, the tenant engine included, simulates
+        // the tier-priced workflow copy (same `storage_scales` pricing the
+        // analytic value used), the plain workflow otherwise.
+        let sim_wf: Cow<'_, Workflow> = match (&storage, &out.tiers) {
+            (Some((hierarchy, _)), Some(tiers)) => Cow::Owned(storage_wf(
+                &wf,
+                hierarchy,
+                tiers,
+                &replica_counts(wf.n_tasks(), replicated.map(|(_, sets)| sets.as_slice())),
+            )),
+            _ => Cow::Borrowed(&wf),
+        };
         if let Some(stream) = &stream {
             let stats = run_tenant_trials_with(
-                &wf,
+                &sim_wf,
                 &out.schedule,
                 &stream.jobs,
                 &stream.config,
@@ -745,18 +748,6 @@ pub fn run_cell_full(spec: &ScenarioSpec, plan: &CellPlan) -> Result<CellExecuti
                 });
             }
         }
-        // The Monte-Carlo engines simulate the tier-priced workflow copy
-        // (same `storage_scales` pricing the analytic value used), the
-        // plain workflow otherwise.
-        let sim_wf: Cow<'_, Workflow> = match (&storage, &out.tiers) {
-            (Some((hierarchy, _)), Some(tiers)) => Cow::Owned(storage_wf(
-                &wf,
-                hierarchy,
-                tiers,
-                &replica_counts(wf.n_tasks(), replicated.map(|(_, sets)| sets.as_slice())),
-            )),
-            _ => Cow::Borrowed(&wf),
-        };
         for sim in &spec.simulators {
             let nan5 = (f64::NAN, f64::NAN, f64::NAN, f64::NAN, f64::NAN);
             let (mc_mean, mc_sem, mc_p50, mc_p95, mc_p99) = match *sim {

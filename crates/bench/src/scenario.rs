@@ -846,6 +846,11 @@ impl ReplicationSpec {
 /// axis existed — and every spec that keeps the default — have byte-
 /// identical canonical JSON, hence unchanged spec hashes, `SpecHash` cell
 /// seeds and golden CSVs.
+///
+/// A cell without a `platforms` axis runs on the implicit reference
+/// machine (one processor at the cell's rate), where the replicated
+/// evaluator reduces to the proxy model: every optimizer then yields the
+/// proxy's schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum OptimizerSpec {
     /// Optimize under the single-machine proxy model; platforms and
@@ -857,8 +862,9 @@ pub enum OptimizerSpec {
     /// replication degrees (resumed incremental evaluation).
     ReplicationAware,
     /// Coordinate descent over (checkpoint budget × per-task replica
-    /// sets): the replication-aware sweep plus per-task replica
-    /// *selection* (`dagchkpt_core::optimize_joint`). Never worse than
+    /// sets, plus per-task storage tiers under `per-task` tier selection):
+    /// the replication-aware sweep plus per-task replica *selection*
+    /// (`dagchkpt_core::optimize_joint_with`). Never worse than
     /// `ReplicationAware` on the same cell.
     Joint,
 }
@@ -1248,7 +1254,9 @@ pub enum StorageSelect {
     Best,
     /// Refine the best uniform assignment with per-task coordinate
     /// descent on the replication-aware evaluator
-    /// (`dagchkpt_core::select_storage`); requires a `platforms` axis.
+    /// (`dagchkpt_core::select_storage`). Without a `platforms` axis it
+    /// runs on the implicit reference machine (one processor at the
+    /// cell's rate and downtime).
     PerTask,
 }
 
@@ -1758,34 +1766,12 @@ impl ScenarioSpec {
         self.arrivals.validate()?;
         self.tenancy.validate()?;
         self.storage.validate()?;
-        if !StorageSpec::is_off(&self.storage) {
-            if !ArrivalSpec::is_off(&self.arrivals) {
-                return Err(ScenarioError::new(
-                    "storage cannot be combined with an `arrivals` stream \
-                     (the contention engine does not price storage tiers)",
-                ));
-            }
-            if !ObjectiveSpec::is_mean(&self.objective) {
-                return Err(ScenarioError::new(format!(
-                    "storage requires the default mean objective \
-                     (tier selection compares analytic expected makespans), got `{}`",
-                    self.objective.label()
-                )));
-            }
-            if matches!(
-                self.storage,
-                StorageSpec::Tiers {
-                    select: StorageSelect::PerTask,
-                    ..
-                }
-            ) && self.platforms.is_empty()
-            {
-                return Err(ScenarioError::new(
-                    "storage: per-task tier selection runs on the replication-aware \
-                     evaluator and needs a `platforms` axis (use `best` or a fixed tier \
-                     on the single reference machine)",
-                ));
-            }
+        if !StorageSpec::is_off(&self.storage) && !ObjectiveSpec::is_mean(&self.objective) {
+            return Err(ScenarioError::new(format!(
+                "storage requires the default mean objective \
+                 (tier selection compares analytic expected makespans), got `{}`",
+                self.objective.label()
+            )));
         }
         if !TenancySpec::is_off(&self.tenancy) && ArrivalSpec::is_off(&self.arrivals) {
             return Err(ScenarioError::new(
@@ -1817,13 +1803,6 @@ impl ScenarioSpec {
             }
         }
         if self.optimizer != OptimizerSpec::Proxy {
-            if self.platforms.is_empty() {
-                return Err(ScenarioError::new(format!(
-                    "optimizer `{}` needs a `platforms` axis \
-                     (without one there is nothing beyond the proxy model to optimize against)",
-                    self.optimizer.label()
-                )));
-            }
             if let Some(s) = self.strategies.iter().find(|s| {
                 !matches!(
                     s,
@@ -2465,13 +2444,13 @@ mod tests {
         }
     }
 
-    /// Non-proxy optimizers need a platform axis and heuristic strategies.
+    /// Non-proxy optimizers need heuristic strategies; without a
+    /// platform axis they run on the implicit reference machine.
     #[test]
     fn optimizer_validation_rules() {
         let mut no_platform = tiny_spec();
         no_platform.optimizer = OptimizerSpec::ReplicationAware;
-        let err = no_platform.expand().unwrap_err();
-        assert!(err.0.contains("needs a `platforms` axis"), "{err}");
+        assert!(no_platform.expand().is_ok());
 
         let mut exact = tiny_spec();
         exact.platforms = vec![PlatformSpec::Uniform { count: 2 }];
@@ -2744,7 +2723,8 @@ mod tests {
     /// unsupported axis combinations with the error text pinned
     /// verbatim (the tier errors themselves are the pinned
     /// `PlatformError`s from `dagchkpt_failure::StorageTier::validate`,
-    /// wrapped in the axis context).
+    /// wrapped in the axis context), and accepts per-task tiers without
+    /// platforms and tiers under an arrival stream.
     #[test]
     fn storage_validation_error_text_is_pinned() {
         let with = |storage: StorageSpec| {
@@ -2779,32 +2759,28 @@ mod tests {
             }),
             "storage: fixed tier `pfs` is not in the hierarchy"
         );
-        assert_eq!(
-            with(StorageSpec::Tiers {
+        let per_task = ScenarioSpec {
+            storage: StorageSpec::Tiers {
                 tiers: vec![tier_spec("bb", 1.0, 1.0)],
                 select: StorageSelect::PerTask,
-            }),
-            "storage: per-task tier selection runs on the replication-aware \
-             evaluator and needs a `platforms` axis (use `best` or a fixed tier \
-             on the single reference machine)"
-        );
+            },
+            ..tiny_spec()
+        };
+        per_task.validate().unwrap();
         let tiers = StorageSpec::Tiers {
             tiers: vec![tier_spec("bb", 1.0, 1.0)],
             select: StorageSelect::Best,
         };
         let streamed = ScenarioSpec {
             storage: tiers.clone(),
+            simulators: vec![SimulatorSpec::MonteCarlo { trials: 16 }],
             arrivals: ArrivalSpec::Poisson {
                 count: 3,
                 mean_gap: 10.0,
             },
             ..tiny_spec()
         };
-        assert_eq!(
-            streamed.validate().unwrap_err().0,
-            "storage cannot be combined with an `arrivals` stream \
-             (the contention engine does not price storage tiers)"
-        );
+        streamed.validate().unwrap();
         let quantile = ScenarioSpec {
             storage: tiers,
             objective: ObjectiveSpec::P99 { trials: 64 },

@@ -14,8 +14,10 @@
 //!   `dagchkpt-sim`);
 //! * [`strategies`] — CkptNvr/CkptAlws/CkptW/CkptC/CkptD/CkptPer with the
 //!   objective-generic checkpoint-budget sweep, per-task replica
-//!   *selection* ([`select_replicas`]) and the joint coordinate descent
-//!   ([`optimize_joint`]), plus the task-replication strategy family
+//!   *selection* ([`select_replicas`]), per-task storage-tier selection
+//!   ([`select_storage`]) and the joint coordinate descent over budget,
+//!   replica sets and tiers ([`optimize_joint_with`]), plus the
+//!   task-replication strategy family
 //!   ([`ReplicationStrategy`]) evaluated exactly by
 //!   [`evaluator::replicated`] on heterogeneous platforms;
 //! * [`heuristics`] — the paper's 14 heuristic combinations;
@@ -47,10 +49,8 @@ pub use model::{CostRule, ModelError, TaskCosts, Workflow};
 pub use objective::{CostSummary, FlagEvaluator, Objective, ProxyObjective};
 pub use schedule::Schedule;
 pub use strategies::{
-    local_search, local_search_with, optimize_checkpoints, optimize_checkpoints_quantile,
-    optimize_checkpoints_with, optimize_joint, optimize_joint_with, ranking, replica_candidates,
-    replica_candidates_with, select_replicas, select_replicas_with, select_storage,
-    select_tiers_pass, storage_scales, CheckpointStrategy, ExhaustiveSelectionError, JointSchedule,
-    NoRankingError, OptimizedSchedule, ReplicationStrategy, SelectionSpec, StorageStrategy,
-    SweepPolicy,
+    local_search, optimize_checkpoints, optimize_checkpoints_quantile, optimize_checkpoints_with,
+    optimize_joint, optimize_joint_with, ranking, replica_candidates, select_replicas,
+    select_storage, storage_scales, CheckpointStrategy, JointSchedule, NoRankingError,
+    OptimizedSchedule, ReplicationStrategy, SweepPolicy,
 };

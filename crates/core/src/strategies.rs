@@ -19,8 +19,8 @@
 //!
 //! # Objective-driven optimization
 //!
-//! The sweep and the local search are **generic over the evaluation
-//! backend** ([`crate::objective::Objective`]): [`optimize_checkpoints`]
+//! The sweep is **generic over the evaluation backend**
+//! ([`crate::objective::Objective`]): [`optimize_checkpoints`]
 //! is the paper's proxy-model entry point, [`optimize_checkpoints_with`]
 //! runs the same enumeration against any objective — notably the exact
 //! replication-aware evaluator
@@ -31,8 +31,10 @@
 //! On top of the budget sweep, [`select_replicas`] optimizes the second
 //! decision dimension — each task's **replica set** (which processors run
 //! it redundantly, a reliability-vs-speed trade, not just fastest-first
-//! prefixes) — and [`optimize_joint`] coordinate-descends over
-//! (checkpoint budget × per-task replica sets) until a joint fixed point.
+//! prefixes) — and [`select_storage`] the third, each task's checkpoint
+//! **storage tier**. [`optimize_joint_with`] coordinate-descends over
+//! (checkpoint budget × per-task replica sets, × per-task tiers when given
+//! a hierarchy) until a joint fixed point.
 
 use crate::evaluator::replicated::{
     normalize_replica_set, prefix_sets, ReplicatedEvaluator, MAX_REPLICATION_DEGREE,
@@ -42,10 +44,9 @@ use crate::model::Workflow;
 use crate::objective::{Objective, ProxyObjective};
 use crate::schedule::Schedule;
 use dagchkpt_dag::{FixedBitSet, NodeId};
-use dagchkpt_failure::{FaultModel, HeteroPlatform, Processor, StorageHierarchy};
+use dagchkpt_failure::{FaultModel, HeteroPlatform, StorageHierarchy};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use std::sync::{Mutex, PoisonError};
 
 /// Which tasks to checkpoint.
@@ -274,8 +275,8 @@ pub fn ranking(wf: &Workflow, strategy: CheckpointStrategy) -> Result<Vec<NodeId
 /// Evaluator-driven local search over checkpoint sets (this repository's
 /// extension — enabled precisely by the paper's Theorem-3 evaluator):
 /// starting from `init`, repeatedly flips the single checkpoint bit that
-/// most reduces the expected makespan, until no flip improves or
-/// `max_rounds` is exhausted. The linearization stays fixed.
+/// most reduces the expected makespan under the proxy model, until no flip
+/// improves or `max_rounds` is exhausted. The linearization stays fixed.
 ///
 /// Each round evaluates `n` candidate schedules in parallel; the result is
 /// never worse than the start point.
@@ -286,19 +287,7 @@ pub fn local_search(
     init: FixedBitSet,
     max_rounds: usize,
 ) -> OptimizedSchedule {
-    local_search_with(wf, &ProxyObjective::new(wf, model), order, init, max_rounds)
-}
-
-/// [`local_search`] against an arbitrary [`Objective`] backend — the
-/// proxy-model wrapper above is `local_search_with(wf, &ProxyObjective, …)`
-/// and produces bit-identical results to the pre-generic implementation.
-pub fn local_search_with<O: Objective + ?Sized>(
-    wf: &Workflow,
-    obj: &O,
-    order: &[NodeId],
-    init: FixedBitSet,
-    max_rounds: usize,
-) -> OptimizedSchedule {
+    let obj = ProxyObjective::new(wf, model);
     let n = wf.n_tasks();
     let base = Schedule::never(wf, order.to_vec()).expect("order is valid");
     let mut current = init;
@@ -689,75 +678,6 @@ pub fn replica_candidates(platform: &HeteroPlatform, max_degree: usize) -> Vec<V
     let procs = platform.procs();
     let p = procs.len();
     let cap = max_degree.clamp(1, p).min(MAX_REPLICATION_DEGREE);
-    replica_candidates_prefixes(procs, p, cap)
-}
-
-/// How per-task replica selection enumerates its candidate sets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionSpec {
-    /// The structured `O(P)` family of [`replica_candidates`]: speed
-    /// prefixes, reliability prefixes, and singletons. The default —
-    /// cheap at any platform size.
-    #[default]
-    Prefixes,
-    /// Every non-empty subset of the platform's processors — `2^P − 1`
-    /// candidates, the provably complete family. Only allowed for
-    /// `P ≤ 8` processors ([`MAX_REPLICATION_DEGREE`]); larger platforms
-    /// are rejected with [`ExhaustiveSelectionError`]. The `max_degree`
-    /// cap is ignored: the whole point is the full subset lattice.
-    Exhaustive,
-}
-
-/// Exhaustive replica-subset enumeration was requested on a platform too
-/// large for `2^P` candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExhaustiveSelectionError {
-    /// The offending platform's processor count.
-    pub n_procs: usize,
-}
-
-impl fmt::Display for ExhaustiveSelectionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "exhaustive replica-subset enumeration needs 2^P candidate sets per task; \
-             P = {} processors exceeds the cap of {}",
-            self.n_procs, MAX_REPLICATION_DEGREE
-        )
-    }
-}
-
-impl std::error::Error for ExhaustiveSelectionError {}
-
-/// [`replica_candidates`] under an explicit [`SelectionSpec`]:
-/// `Prefixes` is the infallible structured family; `Exhaustive`
-/// enumerates every non-empty processor subset in ascending bitmask order
-/// (a deterministic order, so downstream tie-breaks are stable), failing
-/// on platforms with more than [`MAX_REPLICATION_DEGREE`] processors.
-pub fn replica_candidates_with(
-    platform: &HeteroPlatform,
-    max_degree: usize,
-    selection: SelectionSpec,
-) -> Result<Vec<Vec<usize>>, ExhaustiveSelectionError> {
-    let p = platform.procs().len();
-    match selection {
-        SelectionSpec::Prefixes => Ok(replica_candidates(platform, max_degree)),
-        SelectionSpec::Exhaustive => {
-            if p > MAX_REPLICATION_DEGREE {
-                return Err(ExhaustiveSelectionError { n_procs: p });
-            }
-            Ok((1u32..(1u32 << p))
-                .map(|mask| {
-                    let set: Vec<usize> = (0..p).filter(|i| mask & (1 << i) != 0).collect();
-                    normalize_replica_set(&set, p)
-                })
-                .collect())
-        }
-    }
-}
-
-/// The structured candidate family shared by [`replica_candidates`].
-fn replica_candidates_prefixes(procs: &[Processor], p: usize, cap: usize) -> Vec<Vec<usize>> {
     // Reliability order: lowest λ first, ties toward the canonical
     // (fastest-first) index so the order is deterministic.
     let mut by_reliability: Vec<usize> = (0..p).collect();
@@ -823,33 +743,7 @@ pub fn select_replicas(
     max_degree: usize,
     max_rounds: usize,
 ) -> (Vec<Vec<usize>>, f64, usize) {
-    select_replicas_with(
-        wf,
-        platform,
-        schedule,
-        init,
-        max_degree,
-        max_rounds,
-        SelectionSpec::Prefixes,
-    )
-    .expect("the prefix family is infallible")
-}
-
-/// [`select_replicas`] under an explicit candidate family
-/// ([`SelectionSpec`]): `Exhaustive` searches every non-empty processor
-/// subset per task — the complete lattice, affordable only for `P ≤ 8` —
-/// and fails with the typed [`ExhaustiveSelectionError`] beyond that.
-#[allow(clippy::too_many_arguments)]
-pub fn select_replicas_with(
-    wf: &Workflow,
-    platform: &HeteroPlatform,
-    schedule: &Schedule,
-    init: &[Vec<usize>],
-    max_degree: usize,
-    max_rounds: usize,
-    selection: SelectionSpec,
-) -> Result<(Vec<Vec<usize>>, f64, usize), ExhaustiveSelectionError> {
-    let candidates = replica_candidates_with(platform, max_degree, selection)?;
+    let candidates = replica_candidates(platform, max_degree);
     let mut ev = ReplicatedEvaluator::from_sets(wf, platform, init);
     let mut best_e = ev.expected_makespan(schedule);
     let mut evaluated = 1usize;
@@ -858,31 +752,35 @@ pub fn select_replicas_with(
             break;
         }
     }
-    Ok((ev.sets().to_vec(), best_e, evaluated))
+    (ev.sets().to_vec(), best_e, evaluated)
 }
 
-/// One coordinate pass of [`select_replicas`] over an existing evaluator
-/// (so callers iterating selection — notably [`optimize_joint`] — keep
-/// resuming its scratch across passes and stages). `best_e` must
-/// hold the expected makespan of `schedule` under `ev`'s current sets;
+/// One coordinate pass of per-task selection over an existing evaluator
+/// (so callers iterating selection keep resuming its scratch across passes
+/// and stages): for each task in id order, tries every candidate other
+/// than the current one (`get` reads a task's value, `set` moves it) and
+/// keeps the first strict improvement's best. `best_e` must hold the
+/// expected makespan of `schedule` under `ev`'s current assignment;
 /// returns whether any task moved.
-fn select_replicas_pass(
+fn coordinate_pass<C: Clone + PartialEq>(
     ev: &mut ReplicatedEvaluator,
     schedule: &Schedule,
-    candidates: &[Vec<usize>],
+    candidates: &[C],
+    get: impl Fn(&ReplicatedEvaluator, usize) -> C,
+    set: impl Fn(&mut ReplicatedEvaluator, usize, &C),
     best_e: &mut f64,
     evaluated: &mut usize,
 ) -> bool {
     let n = ev.sets().len();
     let mut improved = false;
     for t in 0..n {
-        let current = ev.sets()[t].clone();
-        let mut best_set = current.clone();
+        let current = get(ev, t);
+        let mut best = current.clone();
         for cand in candidates {
-            if *cand == current || *cand == best_set {
+            if *cand == current || *cand == best {
                 continue;
             }
-            ev.set_replicas(t, cand);
+            set(ev, t, cand);
             let e = ev.expected_makespan(schedule);
             *evaluated += 1;
             // `best_e - tol` would be NaN when best_e is +∞ (an
@@ -896,13 +794,54 @@ fn select_replicas_pass(
             };
             if improves {
                 *best_e = e;
-                best_set = cand.clone();
+                best = cand.clone();
                 improved = true;
             }
         }
-        ev.set_replicas(t, &best_set);
+        set(ev, t, &best);
     }
     improved
+}
+
+/// [`coordinate_pass`] over each task's replica set.
+fn select_replicas_pass(
+    ev: &mut ReplicatedEvaluator,
+    schedule: &Schedule,
+    candidates: &[Vec<usize>],
+    best_e: &mut f64,
+    evaluated: &mut usize,
+) -> bool {
+    coordinate_pass(
+        ev,
+        schedule,
+        candidates,
+        |ev, t| ev.sets()[t].clone(),
+        |ev, t, set| ev.set_replicas(t, set),
+        best_e,
+        evaluated,
+    )
+}
+
+/// [`coordinate_pass`] over each task's checkpoint storage tier, on an
+/// evaluator carrying a storage hierarchy of `n_tiers` tiers
+/// ([`ReplicatedEvaluator::with_storage`]).
+fn select_tiers_pass(
+    ev: &mut ReplicatedEvaluator,
+    schedule: &Schedule,
+    n_tiers: usize,
+    best_e: &mut f64,
+    evaluated: &mut usize,
+) -> bool {
+    let candidates: Vec<usize> = (0..n_tiers).collect();
+    coordinate_pass(
+        ev,
+        schedule,
+        &candidates,
+        |ev, t| ev.tiers().expect("tier selection requires storage")[t],
+        |ev, t, &tier| ev.set_tier(t, tier),
+        best_e,
+        evaluated,
+    )
 }
 
 /// Joint optimization by coordinate descent over the two decision
@@ -933,24 +872,22 @@ pub fn optimize_joint(
         policy,
         &prefix_sets(init_degrees, platform.n_procs()),
         max_rounds,
-        SelectionSpec::Prefixes,
         None,
     )
-    .expect("the prefix family is infallible")
 }
 
 /// [`optimize_joint`] from explicit initial replica sets `init_sets` (one
 /// per task, normalized like [`ReplicatedEvaluator::from_sets`]; the
-/// selection candidates are capped at the largest initial set size), under
-/// an explicit candidate family ([`SelectionSpec`], see
-/// [`select_replicas_with`]) and, with
-/// `storage = Some((hierarchy, init_tiers))`, the **third axis**:
+/// selection candidates are [`replica_candidates`] capped at the largest
+/// initial set size) and, with a `storage` hierarchy, the **third axis**:
 /// coordinate descent over (checkpoint budget × per-task replica sets ×
-/// per-task storage tiers). Each round sweeps the budget under the current
-/// assignment, runs one replica-selection pass, then — with a hierarchy —
-/// one tier-selection pass; rounds are accepted only on strict
-/// improvement, so the storage descent is never worse than the two-axis
-/// descent started on the same initial tier assignment.
+/// per-task storage tiers), every task starting on tier 0. Each round
+/// sweeps the budget under the current assignment, runs one
+/// replica-selection pass, then — with a hierarchy — one tier-selection
+/// pass; rounds are accepted only on strict improvement, so the storage
+/// descent is never worse than the two-axis descent on tier 0. A
+/// single-tier hierarchy pins that tier while budget and replica sets
+/// co-optimize.
 #[allow(clippy::too_many_arguments)]
 pub fn optimize_joint_with(
     wf: &Workflow,
@@ -960,9 +897,8 @@ pub fn optimize_joint_with(
     policy: SweepPolicy,
     init_sets: &[Vec<usize>],
     max_rounds: usize,
-    selection: SelectionSpec,
-    storage: Option<(&StorageHierarchy, &[usize])>,
-) -> Result<JointSchedule, ExhaustiveSelectionError> {
+    storage: Option<&StorageHierarchy>,
+) -> JointSchedule {
     // One evaluator for the whole descent: every selection move resumes
     // its scratch, across both coordinates and across rounds.
     let mut ev = ReplicatedEvaluator::from_sets(wf, platform, init_sets);
@@ -973,10 +909,10 @@ pub fn optimize_joint_with(
         .max()
         .unwrap_or(1)
         .clamp(1, MAX_REPLICATION_DEGREE.min(platform.n_procs().max(1)));
-    if let Some((hierarchy, init_tiers)) = storage {
-        ev = ev.with_storage(hierarchy, init_tiers);
+    if let Some(hierarchy) = storage {
+        ev = ev.with_storage(hierarchy, &vec![0; wf.n_tasks()]);
     }
-    let candidates = replica_candidates_with(platform, max_degree, selection)?;
+    let candidates = replica_candidates(platform, max_degree);
     let mut best: Option<JointSchedule> = None;
     let mut evaluated = 0usize;
     let mut rounds = 0usize;
@@ -989,65 +925,29 @@ pub fn optimize_joint_with(
         let mut e = ev.expected_makespan(&opt.schedule);
         evaluated += 1;
         select_replicas_pass(&mut ev, &opt.schedule, &candidates, &mut e, &mut evaluated);
-        if let Some((hierarchy, _)) = storage {
+        if let Some(hierarchy) = storage {
             let n_tiers = hierarchy.n_tiers();
             select_tiers_pass(&mut ev, &opt.schedule, n_tiers, &mut e, &mut evaluated);
         }
         let tol = 1e-12 * e.abs().max(1.0);
         let better = best.as_ref().is_none_or(|b| e < b.expected_makespan - tol);
-        let stalled = !better;
-        if better {
-            best = Some(JointSchedule {
-                best_n: opt.best_n,
-                schedule: opt.schedule,
-                replica_sets: ev.sets().to_vec(),
-                expected_makespan: e,
-                tiers: ev.tiers().map(|t| t.to_vec()),
-                evaluated,
-                rounds,
-            });
-        }
-        if stalled {
+        if !better {
             break;
         }
+        best = Some(JointSchedule {
+            best_n: opt.best_n,
+            schedule: opt.schedule,
+            replica_sets: ev.sets().to_vec(),
+            expected_makespan: e,
+            tiers: ev.tiers().map(|t| t.to_vec()),
+            evaluated,
+            rounds,
+        });
     }
     let mut out = best.expect("at least one joint round ran");
     out.evaluated = evaluated;
     out.rounds = rounds;
-    Ok(out)
-}
-
-/// How the checkpoint **storage tier** of each task is chosen — the third
-/// decision dimension next to the checkpoint budget and the replica set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StorageStrategy {
-    /// Every task writes to the tier at this index of the hierarchy's
-    /// declaration order.
-    Fixed {
-        /// Tier index.
-        tier: usize,
-    },
-    /// Evaluate each uniform assignment (all tasks on one tier) and keep
-    /// the tier minimizing the expected makespan — ties broken toward
-    /// the earliest-declared tier via `total_cmp`, so NaN can never poison
-    /// the argmin.
-    Best,
-    /// Start from the best uniform assignment, then coordinate-descend
-    /// per task ([`select_tiers_pass`]) until a pass moves nothing:
-    /// checkpoint-heavy tasks can land on a write-fast tier while
-    /// recovery-critical ones land on a read-fast tier.
-    PerTask,
-}
-
-impl StorageStrategy {
-    /// Short label used in CSV rows and campaign stage names.
-    pub fn label(&self) -> String {
-        match self {
-            StorageStrategy::Fixed { tier } => format!("fixed{tier}"),
-            StorageStrategy::Best => "best".to_string(),
-            StorageStrategy::PerTask => "per-task".to_string(),
-        }
-    }
+    out
 }
 
 /// Per-task cost scale factors pricing a tier assignment into a
@@ -1087,96 +987,42 @@ pub fn storage_scales(
     (ckpt, rec)
 }
 
-/// One coordinate pass of per-task **tier** selection — the storage
-/// analogue of [`select_replicas_pass`], over an evaluator carrying a
-/// storage hierarchy ([`ReplicatedEvaluator::with_storage`]). `best_e`
-/// must hold the expected makespan of `schedule` under `ev`'s current
-/// assignment; returns whether any task moved.
-pub fn select_tiers_pass(
-    ev: &mut ReplicatedEvaluator,
-    schedule: &Schedule,
-    n_tiers: usize,
-    best_e: &mut f64,
-    evaluated: &mut usize,
-) -> bool {
-    let tiers = ev.tiers().expect("select_tiers_pass requires storage");
-    let n = tiers.len();
-    let mut improved = false;
-    for t in 0..n {
-        let current = ev.tiers().expect("storage attached")[t];
-        let mut best_tier = current;
-        for cand in 0..n_tiers {
-            if cand == current || cand == best_tier {
-                continue;
-            }
-            ev.set_tier(t, cand);
-            let e = ev.expected_makespan(schedule);
-            *evaluated += 1;
-            // Same NaN-safe escape as replica selection: an infinite
-            // incumbent (`best_e - tol` would be NaN) is beaten by any
-            // finite candidate.
-            let improves = if best_e.is_finite() {
-                e < *best_e - 1e-12 * best_e.max(1.0)
-            } else {
-                e < *best_e
-            };
-            if improves {
-                *best_e = e;
-                best_tier = cand;
-                improved = true;
-            }
-        }
-        ev.set_tier(t, best_tier);
-    }
-    improved
-}
-
-/// Applies a [`StorageStrategy`] to `schedule` on an evaluator that
-/// already carries the storage hierarchy: returns the chosen per-task
-/// tiers, their expected makespan, and the number of evaluations. The
-/// evaluator is left on the chosen assignment.
+/// Per-task **storage-tier** selection for a fixed `schedule`, on an
+/// evaluator that already carries a hierarchy of `n_tiers` tiers: start
+/// from the best uniform assignment (all tasks on one tier; argmin via
+/// `total_cmp`, so ties go to the earliest-declared tier and NaN can never
+/// win), then coordinate-descend per task until a pass moves nothing or
+/// `max_rounds` passes ran — checkpoint-heavy tasks can land on a
+/// write-fast tier while recovery-critical ones land on a read-fast tier.
+/// Returns the chosen tiers, their expected makespan, and the number of
+/// evaluations; the evaluator is left on the chosen assignment.
 pub fn select_storage(
     ev: &mut ReplicatedEvaluator,
     schedule: &Schedule,
     n_tiers: usize,
-    strategy: StorageStrategy,
     max_rounds: usize,
 ) -> (Vec<usize>, f64, usize) {
     let n = ev.tiers().expect("select_storage requires storage").len();
-    let mut evaluated = 0usize;
     let set_uniform = |ev: &mut ReplicatedEvaluator, tier: usize| {
         for t in 0..n {
             ev.set_tier(t, tier);
         }
     };
-    let mut best_e = match strategy {
-        StorageStrategy::Fixed { tier } => {
-            set_uniform(ev, tier.min(n_tiers - 1));
-            evaluated += 1;
-            ev.expected_makespan(schedule)
+    let mut evaluated = 0usize;
+    let mut best: Option<(f64, usize)> = None;
+    for tier in 0..n_tiers {
+        set_uniform(ev, tier);
+        let e = ev.expected_makespan(schedule);
+        evaluated += 1;
+        if best.is_none_or(|(be, _)| e.total_cmp(&be).is_lt()) {
+            best = Some((e, tier));
         }
-        StorageStrategy::Best | StorageStrategy::PerTask => {
-            // Uniform argmin via total_cmp: NaN orders above every real
-            // value, so a poisoned tier can never win.
-            let mut best: Option<(f64, usize)> = None;
-            for tier in 0..n_tiers {
-                set_uniform(ev, tier);
-                let e = ev.expected_makespan(schedule);
-                evaluated += 1;
-                if best.is_none_or(|(be, _)| e.total_cmp(&be).is_lt()) {
-                    best = Some((e, tier));
-                }
-            }
-            let (e, tier) = best.expect("a hierarchy has at least one tier");
-            set_uniform(ev, tier);
-            e
-        }
-    };
-    if strategy == StorageStrategy::PerTask {
-        for _ in 0..max_rounds.max(1) {
-            if !select_tiers_pass(ev, schedule, n_tiers, &mut best_e, &mut evaluated) {
-                break;
-            }
+    }
+    let (mut best_e, tier) = best.expect("a hierarchy has at least one tier");
+    set_uniform(ev, tier);
+    for _ in 0..max_rounds.max(1) {
+        if !select_tiers_pass(ev, schedule, n_tiers, &mut best_e, &mut evaluated) {
+            break;
         }
     }
     (
@@ -1192,7 +1038,7 @@ mod tests {
     use crate::evaluator::replicated::oracle;
     use crate::model::{CostRule, TaskCosts};
     use dagchkpt_dag::{generators, topo};
-    use dagchkpt_failure::StorageTier;
+    use dagchkpt_failure::{Processor, StorageTier};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1228,27 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn select_storage_best_picks_the_uniform_argmin() {
-        let wf = chain_wf();
-        let order = topo::topological_order(wf.dag());
-        // Checkpoint everything: writes dominate, so the write-fast tier
-        // must win the uniform argmin.
-        let s = Schedule::always(&wf, order).unwrap();
-        let platform = HeteroPlatform::homogeneous(2, 1e-3, 1.0).unwrap();
-        let h = two_tier_hierarchy();
-        let mut ev =
-            ReplicatedEvaluator::from_degrees(&wf, &platform, &[1; 6]).with_storage(&h, &[1; 6]);
-        let (tiers, e, evaluated) = select_storage(&mut ev, &s, 2, StorageStrategy::Best, 4);
-        assert_eq!(tiers, vec![0; 6], "write-fast tier must win: {tiers:?}");
-        assert!(e.is_finite() && evaluated >= 2);
-        // Fixed pins the requested tier and reports its evaluation.
-        let (tiers, e_fixed, _) =
-            select_storage(&mut ev, &s, 2, StorageStrategy::Fixed { tier: 1 }, 4);
-        assert_eq!(tiers, vec![1; 6]);
-        assert!(e_fixed > e, "read-fast on all-writes {e_fixed} vs {e}");
-    }
-
-    #[test]
     fn per_task_storage_selection_mixes_tiers() {
         // Task 0 writes a huge checkpoint nobody re-reads expensively;
         // task 1 writes a tiny checkpoint whose recovery read is huge
@@ -1268,7 +1093,7 @@ mod tests {
         let h = two_tier_hierarchy();
         let mut ev =
             ReplicatedEvaluator::from_degrees(&wf, &platform, &[1; 3]).with_storage(&h, &[0; 3]);
-        let (tiers, e_mixed, _) = select_storage(&mut ev, &s, 2, StorageStrategy::PerTask, 4);
+        let (tiers, e_mixed, _) = select_storage(&mut ev, &s, 2, 4);
         assert_eq!(tiers[0], 0, "huge write → write-fast tier: {tiers:?}");
         assert_eq!(
             tiers[1], 1,
@@ -1288,7 +1113,6 @@ mod tests {
 
     #[test]
     fn joint_storage_descent_is_consistent_and_never_worse_than_round_one() {
-        use dagchkpt_failure::Processor;
         let wf = chain_wf();
         let lambda = 5e-3;
         let platform = HeteroPlatform::new(
@@ -1312,10 +1136,8 @@ mod tests {
             SweepPolicy::Exhaustive,
             &vec![vec![0, 1]; 6],
             4,
-            SelectionSpec::Prefixes,
-            Some((&h, &[0; 6])),
-        )
-        .unwrap();
+            Some(&h),
+        );
         let tiers = joint.tiers.as_ref().expect("storage descent reports tiers");
         assert_eq!(tiers.len(), 6);
         assert!(joint.expected_makespan.is_finite() && joint.rounds >= 1);
@@ -1816,7 +1638,6 @@ mod tests {
 
     #[test]
     fn replica_candidates_cover_speed_reliability_and_singletons() {
-        use dagchkpt_failure::Processor;
         // Fastest-first canonical order: 0 fast/flaky, 1 medium, 2 slow/safe.
         let platform = HeteroPlatform::new(
             vec![
@@ -1853,7 +1674,6 @@ mod tests {
 
     #[test]
     fn select_replicas_prefers_reliable_solo_over_flaky_prefix() {
-        use dagchkpt_failure::Processor;
         // Rank 0 is barely faster but fails 500× as often: running the
         // reliable rank 1 alone beats both the fastest-first prefix and
         // the pair (a failed group attempt lasts until the *last* death).
@@ -1892,7 +1712,6 @@ mod tests {
 
     #[test]
     fn select_replicas_escapes_infinite_makespan_assignments() {
-        use dagchkpt_failure::Processor;
         // One 2000-unit block on a machine with λ = 5e-2: λ·d ≈ 91, the
         // per-attempt failure probability rounds to exactly 1.0 in f64 and
         // the expected makespan is +∞. Selection must still escape to the
@@ -1934,7 +1753,6 @@ mod tests {
 
     #[test]
     fn aware_sweep_and_joint_dominate_the_proxy_chain() {
-        use dagchkpt_failure::Processor;
         let wf = chain_wf();
         let lambda = 5e-3;
         let platform = HeteroPlatform::new(
@@ -2057,102 +1875,6 @@ mod tests {
             SweepPolicy::Exhaustive,
         );
         assert!(r.expected_makespan > 0.0);
-    }
-
-    /// Satellite: the P > 8 rejection is a typed error with pinned text.
-    #[test]
-    fn exhaustive_selection_error_text_is_pinned() {
-        let platform = HeteroPlatform::homogeneous(9, 1e-3, 1.0).unwrap();
-        let err = replica_candidates_with(&platform, 2, SelectionSpec::Exhaustive).unwrap_err();
-        assert_eq!(err, ExhaustiveSelectionError { n_procs: 9 });
-        assert_eq!(
-            err.to_string(),
-            "exhaustive replica-subset enumeration needs 2^P candidate sets per task; \
-             P = 9 processors exceeds the cap of 8"
-        );
-        // The error propagates through the selection entry points too.
-        let wf = chain_wf();
-        let order = topo::topological_order(wf.dag());
-        let s = Schedule::always(&wf, order.clone()).unwrap();
-        let init = vec![vec![0usize]; wf.n_tasks()];
-        assert!(
-            select_replicas_with(&wf, &platform, &s, &init, 2, 1, SelectionSpec::Exhaustive)
-                .is_err()
-        );
-        assert!(optimize_joint_with(
-            &wf,
-            &platform,
-            &order,
-            CheckpointStrategy::ByDecreasingWork,
-            SweepPolicy::Exhaustive,
-            &init,
-            1,
-            SelectionSpec::Exhaustive,
-            None,
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn exhaustive_candidates_enumerate_every_subset() {
-        let platform = HeteroPlatform::homogeneous(3, 1e-3, 1.0).unwrap();
-        let cands = replica_candidates_with(&platform, 1, SelectionSpec::Exhaustive).unwrap();
-        // 2^3 − 1 subsets, unique, ignoring the degree cap.
-        assert_eq!(cands.len(), 7);
-        let unique: std::collections::BTreeSet<_> = cands.iter().cloned().collect();
-        assert_eq!(unique.len(), 7);
-        for set in [
-            vec![0],
-            vec![1],
-            vec![2],
-            vec![0, 1],
-            vec![0, 2],
-            vec![1, 2],
-            vec![0, 1, 2],
-        ] {
-            assert!(cands.contains(&set), "missing {set:?}");
-        }
-        // Prefixes via the `_with` entry point is the legacy family.
-        assert_eq!(
-            replica_candidates_with(&platform, 2, SelectionSpec::Prefixes).unwrap(),
-            replica_candidates(&platform, 2)
-        );
-    }
-
-    /// The complete subset lattice contains every structured candidate,
-    /// so exhaustive selection never ends up worse on this instance (and
-    /// is strictly better when the optimum is a non-prefix mixed set).
-    #[test]
-    fn exhaustive_selection_never_loses_to_prefixes() {
-        use dagchkpt_failure::Processor;
-        let wf = Workflow::uniform(generators::chain(4), 50.0, 1.0);
-        let platform = HeteroPlatform::new(
-            vec![
-                Processor {
-                    speed: 1.1,
-                    ..Processor::reference(5e-2)
-                },
-                Processor::reference(1e-4),
-                Processor {
-                    speed: 0.9,
-                    ..Processor::reference(3e-4)
-                },
-            ],
-            5.0,
-        )
-        .unwrap();
-        let order = topo::topological_order(wf.dag());
-        let s = Schedule::always(&wf, order).unwrap();
-        let init = vec![vec![0usize]; wf.n_tasks()];
-        let (_, e_prefix, _) = select_replicas(&wf, &platform, &s, &init, 3, 4);
-        let (sets, e_exh, _) =
-            select_replicas_with(&wf, &platform, &s, &init, 3, 4, SelectionSpec::Exhaustive)
-                .unwrap();
-        assert!(
-            e_exh <= e_prefix * (1.0 + 1e-12),
-            "exhaustive {e_exh} vs prefixes {e_prefix}"
-        );
-        assert_eq!(sets.len(), wf.n_tasks());
     }
 
     /// Quantile-targeted sweeps on an analytic backend degenerate to the

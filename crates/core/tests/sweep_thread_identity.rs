@@ -26,7 +26,7 @@ use dagchkpt_core::{
     linearize, optimize_checkpoints, optimize_checkpoints_with, optimize_joint,
     optimize_joint_with, CheckpointStrategy, CostRule, FlagEvaluator, JointSchedule,
     LinearizationStrategy, Objective, OptimizedSchedule, ProxyObjective, ReplicatedEvaluator,
-    Schedule, SelectionSpec, SweepPolicy, Workflow,
+    Schedule, SweepPolicy, Workflow,
 };
 use dagchkpt_dag::generators;
 use dagchkpt_failure::{FaultModel, HeteroPlatform, Processor, StorageHierarchy, StorageTier};
@@ -222,10 +222,8 @@ fn replicated_optimizers_are_identical_for_any_thread_count() {
                         policy,
                         &vec![vec![0, 1]; n],
                         3,
-                        SelectionSpec::Prefixes,
-                        Some((&hierarchy, &vec![1; n])),
-                    )
-                    .unwrap();
+                        Some(&hierarchy),
+                    );
                     [joint_fingerprint(&joint), joint_fingerprint(&storage)]
                 })
                 .collect();

@@ -9,7 +9,9 @@
 //! `Spread{3,2,4}`) with uniform degree-2 replication, through the
 //! analytic column and both Monte-Carlo engines. Every float is rendered
 //! in shortest round-trip form, so a single flipped bit in any arm shows.
-//! Combinations `validate()` rejects are skipped.
+//! Combinations `validate()` rejects are skipped. Without `platforms`,
+//! every arm matches its `Uniform{1}` cell (the implicit reference
+//! machine).
 //!
 //! To regenerate after an intentional change:
 //!
@@ -84,15 +86,15 @@ fn opt_n(n: Option<usize>) -> String {
     n.map_or_else(String::new, |n| n.to_string())
 }
 
-/// Every arm of the matrix, rendered as one text table.
-fn render() -> String {
-    let base = base();
-    let optimizers = [
-        OptimizerSpec::Proxy,
-        OptimizerSpec::ReplicationAware,
-        OptimizerSpec::Joint,
-    ];
-    let storages: [(&str, Option<StorageSelect>); 4] = [
+const OPTIMIZERS: [OptimizerSpec; 3] = [
+    OptimizerSpec::Proxy,
+    OptimizerSpec::ReplicationAware,
+    OptimizerSpec::Joint,
+];
+
+/// The storage arms: a tag plus the selection (`None` = off).
+fn storages() -> [(&'static str, Option<StorageSelect>); 4] {
+    [
         ("off", None),
         (
             "fixed-pfs",
@@ -102,88 +104,118 @@ fn render() -> String {
         ),
         ("best", Some(StorageSelect::Best)),
         ("per-task", Some(StorageSelect::PerTask)),
+    ]
+}
+
+/// The spec of one optimizer × storage arm on the given platforms, with
+/// uniform degree-2 replication when there are platforms.
+fn arm_spec(
+    base: &ScenarioSpec,
+    optimizer: OptimizerSpec,
+    storage_tag: &str,
+    select: Option<StorageSelect>,
+    platforms: Vec<PlatformSpec>,
+) -> ScenarioSpec {
+    let mut strategies = vec![
+        heuristic(CheckpointStrategy::Always),
+        heuristic(CheckpointStrategy::ByDecreasingWork),
     ];
+    if optimizer == OptimizerSpec::Proxy {
+        strategies.push(StrategySpec::Young);
+    }
+    let replications = if platforms.is_empty() {
+        Vec::new()
+    } else {
+        vec![ReplicationSpec::Uniform { degree: 2 }]
+    };
+    ScenarioSpec {
+        name: format!("pipeline_matrix_{}_{storage_tag}", optimizer.label()),
+        strategies,
+        simulators: vec![
+            SimulatorSpec::Analytic,
+            SimulatorSpec::MonteCarlo { trials: TRIALS },
+            SimulatorSpec::NonBlocking {
+                trials: TRIALS,
+                compute_rate: 0.8,
+            },
+        ],
+        platforms,
+        replications,
+        optimizer,
+        storage: with_storage(base, select),
+        ..base.clone()
+    }
+}
+
+/// Every cell of `spec`, rendered as table lines tagged with `arm`.
+fn render_spec(spec: &ScenarioSpec, arm: &str) -> String {
+    let mut out = String::new();
+    for plan in spec.expand().expect("validated") {
+        let exec = run_cell_full(spec, &plan).expect("cell runs");
+        let platform = plan
+            .platform
+            .as_ref()
+            .map_or_else(String::new, |p| p.label());
+        for r in &exec.rows {
+            out.push_str(&format!(
+                "row,{arm},{},{platform},{},{},{:?},{},{:?},{:?},{:?},{:?},{:?},{:?},{}\n",
+                r.cell,
+                r.strategy,
+                r.simulator,
+                r.expected,
+                opt_n(r.best_n),
+                r.mc_mean,
+                r.mc_sem,
+                r.z,
+                r.mc_p50,
+                r.mc_p95,
+                r.mc_p99,
+                r.storage,
+            ));
+        }
+        for s in &exec.schedules {
+            out.push_str(&format!(
+                "schedule,{arm},{},{platform},{},{:?},{},{},{},{},{}\n",
+                plan.index,
+                s.strategy,
+                s.expected,
+                opt_n(s.best_n),
+                list(&s.checkpoints),
+                s.replica_sets.as_deref().map_or_else(String::new, sets),
+                s.tiers.as_deref().map_or_else(String::new, list),
+                s.storage.clone().unwrap_or_default(),
+            ));
+        }
+    }
+    out
+}
+
+/// Every arm of the matrix, rendered as one text table.
+fn render() -> String {
+    let base = base();
     let mut out = String::from(
         "# row: arm,cell,platform,strategy,simulator,expected,best_n,mc_mean,mc_sem,z,\
          mc_p50,mc_p95,mc_p99,storage\n\
          # schedule: arm,cell,platform,strategy,expected,best_n,checkpoints,replica_sets,\
          tiers,storage\n",
     );
-    for optimizer in optimizers {
-        for (storage_tag, select) in &storages {
-            let mut strategies = vec![
-                heuristic(CheckpointStrategy::Always),
-                heuristic(CheckpointStrategy::ByDecreasingWork),
+    for optimizer in OPTIMIZERS {
+        for (storage_tag, select) in storages() {
+            let platforms = vec![
+                PlatformSpec::Uniform { count: 1 },
+                PlatformSpec::Uniform { count: 2 },
+                PlatformSpec::Spread {
+                    count: 3,
+                    speed_spread: 2.0,
+                    rate_spread: 4.0,
+                },
             ];
-            if optimizer == OptimizerSpec::Proxy {
-                strategies.push(StrategySpec::Young);
-            }
-            let spec = ScenarioSpec {
-                name: format!("pipeline_matrix_{}_{storage_tag}", optimizer.label()),
-                strategies,
-                simulators: vec![
-                    SimulatorSpec::Analytic,
-                    SimulatorSpec::MonteCarlo { trials: TRIALS },
-                    SimulatorSpec::NonBlocking {
-                        trials: TRIALS,
-                        compute_rate: 0.8,
-                    },
-                ],
-                platforms: vec![
-                    PlatformSpec::Uniform { count: 1 },
-                    PlatformSpec::Uniform { count: 2 },
-                    PlatformSpec::Spread {
-                        count: 3,
-                        speed_spread: 2.0,
-                        rate_spread: 4.0,
-                    },
-                ],
-                replications: vec![ReplicationSpec::Uniform { degree: 2 }],
-                optimizer,
-                storage: with_storage(&base, select.clone()),
-                ..base.clone()
-            };
+            let spec = arm_spec(&base, optimizer, storage_tag, select, platforms);
             if spec.validate().is_err() {
                 continue;
             }
             let arm = format!("{}/{storage_tag}", optimizer.label());
-            for plan in spec.expand().expect("validated") {
-                let exec = run_cell_full(&spec, &plan).expect("cell runs");
-                let platform = plan
-                    .platform
-                    .as_ref()
-                    .map_or_else(String::new, |p| p.label());
-                for r in &exec.rows {
-                    out.push_str(&format!(
-                        "row,{arm},{},{platform},{},{},{:?},{},{:?},{:?},{:?},{:?},{:?},{:?},{}\n",
-                        r.cell,
-                        r.strategy,
-                        r.simulator,
-                        r.expected,
-                        opt_n(r.best_n),
-                        r.mc_mean,
-                        r.mc_sem,
-                        r.z,
-                        r.mc_p50,
-                        r.mc_p95,
-                        r.mc_p99,
-                        r.storage,
-                    ));
-                }
-                for s in &exec.schedules {
-                    out.push_str(&format!(
-                        "schedule,{arm},{},{platform},{},{:?},{},{},{},{},{}\n",
-                        plan.index,
-                        s.strategy,
-                        s.expected,
-                        opt_n(s.best_n),
-                        list(&s.checkpoints),
-                        s.replica_sets.as_deref().map_or_else(String::new, sets),
-                        s.tiers.as_deref().map_or_else(String::new, list),
-                        s.storage.clone().unwrap_or_default(),
-                    ));
-                }
-            }
+            out.push_str(&render_spec(&spec, &arm));
         }
     }
     out
@@ -275,4 +307,26 @@ fn degenerate_per_task_keeps_the_cell_downtime() {
         uniform > 0,
         "no strategy landed on a uniform tier assignment"
     );
+}
+
+/// A cell without `platforms` runs on the implicit reference machine: for
+/// every optimizer × storage arm, a spec with neither platforms nor
+/// replications renders exactly the `Uniform{1}` arm (whose degree-2
+/// replication clamps to the one processor), platform label blanked.
+#[test]
+fn no_platform_arms_match_the_reference_machine() {
+    let base = base();
+    for optimizer in OPTIMIZERS {
+        for (storage_tag, select) in storages() {
+            let arm = format!("{}/{storage_tag}", optimizer.label());
+            let bare = arm_spec(&base, optimizer, storage_tag, select.clone(), Vec::new());
+            bare.validate()
+                .unwrap_or_else(|e| panic!("{arm}: a spec without platforms is valid: {e}"));
+            let single = vec![PlatformSpec::Uniform { count: 1 }];
+            let reference = arm_spec(&base, optimizer, storage_tag, select, single);
+            let want = render_spec(&reference, &arm).replace(",0,p1,", ",0,,");
+            assert!(!want.is_empty());
+            assert_eq!(render_spec(&bare, &arm), want, "{arm}");
+        }
+    }
 }

@@ -9,9 +9,10 @@
 
 use dagchkpt_bench::campaign::{builtin, run_campaign, RunContext, Stage};
 use dagchkpt_bench::{
-    AdmissionPolicy, ArrivalSpec, Campaign, FailureSpec, ObjectiveSpec, OptimizerSpec, OutputSpec,
-    Scale, ScenarioSpec, SeedPolicy, SimulatorSpec, StorageSpec, StrategySpec, SweepSpec,
-    TenancySpec, TenantSpec, WorkflowSource,
+    run_cell_full, AdmissionPolicy, ArrivalSpec, Campaign, FailureSpec, ObjectiveSpec,
+    OptimizerSpec, OutputSpec, Scale, ScenarioSpec, SeedPolicy, SimulatorSpec, StorageSelect,
+    StorageSpec, StrategySpec, SweepSpec, TenancySpec, TenantRow, TenantSpec, TierSpec,
+    WorkflowSource,
 };
 use dagchkpt_core::{CheckpointStrategy, CostRule, LinearizationStrategy};
 use std::path::PathBuf;
@@ -222,4 +223,60 @@ fn degenerate_stream_reproduces_single_workflow_golden_rows() {
         );
     }
     let _ = std::fs::remove_dir_all(out);
+}
+
+/// The tenant engine prices storage tiers through the same tier-priced
+/// workflow copy as the other Monte-Carlo engines. On the contended
+/// `multi_tenant` cell, a unit tier (every factor 1) reproduces the
+/// storage-free tenant rows byte for byte, and a slow-write tier makes
+/// every `CkptAlws` job respond later.
+#[test]
+fn storage_tiers_price_the_tenant_engine() {
+    let campaign = builtin("multi_tenant", Scale::Quick, SEED).expect("builtin");
+    let Stage::Scenario { scenario, .. } = &campaign.stages[1] else {
+        panic!("multi_tenant stages are scenarios");
+    };
+    let tenants_with = |write_bw: f64| -> Vec<TenantRow> {
+        let spec = ScenarioSpec {
+            storage: StorageSpec::Tiers {
+                tiers: vec![TierSpec {
+                    name: "t".to_string(),
+                    write_bw,
+                    read_bw: 1.0,
+                    compression: 1.0,
+                    contention: 0.0,
+                }],
+                select: StorageSelect::Best,
+            },
+            ..scenario.clone()
+        };
+        let plans = spec.expand().expect("storage composes with arrivals");
+        run_cell_full(&spec, &plans[0]).expect("cell runs").tenants
+    };
+    let plain = {
+        let plans = scenario.expand().unwrap();
+        run_cell_full(scenario, &plans[0]).unwrap().tenants
+    };
+    assert!(!plain.is_empty());
+    assert_eq!(
+        format!("{:?}", tenants_with(1.0)),
+        format!("{plain:?}"),
+        "a unit tier must not move the tenant rows"
+    );
+    let slow = tenants_with(0.25);
+    let mut checked = 0;
+    for (s, p) in slow.iter().zip(&plain) {
+        assert_eq!((&s.strategy, &s.tenant), (&p.strategy, &p.tenant));
+        if s.strategy.ends_with("CkptAlws") {
+            assert!(
+                s.mean_response > p.mean_response,
+                "{}: slow writes {} vs {}",
+                s.tenant,
+                s.mean_response,
+                p.mean_response
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "no CkptAlws tenant rows");
 }
