@@ -759,9 +759,10 @@ pub fn select_replicas(
 /// (so callers iterating selection keep resuming its scratch across passes
 /// and stages): for each task in id order, tries every candidate other
 /// than the current one (`get` reads a task's value, `set` moves it) and
-/// keeps the first strict improvement's best. `best_e` must hold the
-/// expected makespan of `schedule` under `ev`'s current assignment;
-/// returns whether any task moved.
+/// keeps the best, accepting a candidate only when it beats the running
+/// best by a relative `1e-12`. `best_e` must hold the expected makespan
+/// of `schedule` under `ev`'s current assignment; returns whether any
+/// task moved.
 fn coordinate_pass<C: Clone + PartialEq>(
     ev: &mut ReplicatedEvaluator,
     schedule: &Schedule,
