@@ -1075,6 +1075,135 @@ mod tests {
     }
 
     #[test]
+    fn select_storage_best_picks_the_uniform_argmin() {
+        let wf = chain_wf();
+        let order = topo::topological_order(wf.dag());
+        // Checkpoint everything: writes dominate, so the write-fast tier
+        // wins the uniform argmin and no per-task move beats it.
+        let s = Schedule::always(&wf, order).unwrap();
+        let platform = HeteroPlatform::homogeneous(2, 1e-3, 1.0).unwrap();
+        let h = two_tier_hierarchy();
+        let uniform = |tier: usize| {
+            ReplicatedEvaluator::from_degrees(&wf, &platform, &[1; 6])
+                .with_storage(&h, &[tier; 6])
+                .expected_makespan(&s)
+        };
+        // Start on the losing tier: the uniform scan must move off it.
+        let mut ev =
+            ReplicatedEvaluator::from_degrees(&wf, &platform, &[1; 6]).with_storage(&h, &[1; 6]);
+        let (tiers, e, evaluated) = select_storage(&mut ev, &s, 2, 4);
+        assert_eq!(tiers, vec![0; 6], "write-fast tier must win: {tiers:?}");
+        assert_eq!(e.to_bits(), uniform(0).to_bits());
+        assert!(
+            uniform(1) > e,
+            "read-fast on all-writes {} vs {e}",
+            uniform(1)
+        );
+        assert!(evaluated >= 2, "every uniform tier is evaluated");
+        // The evaluator is left on the chosen assignment.
+        assert_eq!(ev.tiers(), Some(&tiers[..]));
+        // Ties go to the earliest-declared tier.
+        let twin = |name: &str| StorageTier {
+            name: name.to_string(),
+            ..h.tiers()[1].clone()
+        };
+        let twins = StorageHierarchy::new(vec![twin("a"), twin("b")]).unwrap();
+        let mut ev = ReplicatedEvaluator::from_degrees(&wf, &platform, &[1; 6])
+            .with_storage(&twins, &[1; 6]);
+        let (tiers, _, _) = select_storage(&mut ev, &s, 2, 4);
+        assert_eq!(tiers, vec![0; 6], "tie must go to tier 0: {tiers:?}");
+    }
+
+    /// A single-tier hierarchy pins that tier: with a unit tier the
+    /// storage descent is the storage-free descent, bit for bit.
+    #[test]
+    fn joint_descent_on_a_single_unit_tier_matches_the_storage_free_descent() {
+        let wf = chain_wf();
+        let lambda = 5e-3;
+        let platform = HeteroPlatform::new(
+            vec![
+                Processor {
+                    speed: 1.5,
+                    ..Processor::reference(4.0 * lambda)
+                },
+                Processor::reference(lambda),
+            ],
+            1.0,
+        )
+        .unwrap();
+        let order = topo::topological_order(wf.dag());
+        let unit = StorageHierarchy::new(vec![StorageTier::unit("unit")]).unwrap();
+        let joint = |storage| {
+            optimize_joint_with(
+                &wf,
+                &platform,
+                &order,
+                CheckpointStrategy::ByDecreasingWork,
+                SweepPolicy::Exhaustive,
+                &vec![vec![0]; 6],
+                4,
+                storage,
+            )
+        };
+        let plain = joint(None);
+        let tiered = joint(Some(&unit));
+        assert_eq!(plain.tiers, None);
+        assert_eq!(tiered.tiers, Some(vec![0; 6]));
+        assert_eq!(tiered.best_n, plain.best_n);
+        assert_eq!(tiered.schedule, plain.schedule);
+        assert_eq!(tiered.replica_sets, plain.replica_sets);
+        assert_eq!(
+            tiered.expected_makespan.to_bits(),
+            plain.expected_makespan.to_bits()
+        );
+        assert_eq!(tiered.rounds, plain.rounds);
+        // One tier leaves the tier pass nothing to evaluate.
+        assert_eq!(tiered.evaluated, plain.evaluated);
+    }
+
+    /// `optimize_joint` is the degree adapter of the storage-free
+    /// `optimize_joint_with`: degrees d start on the fastest-first
+    /// prefixes `0..d`.
+    #[test]
+    fn optimize_joint_is_the_prefix_adapter_of_optimize_joint_with() {
+        let wf = chain_wf();
+        let platform = HeteroPlatform::new(
+            vec![
+                Processor {
+                    speed: 1.5,
+                    ..Processor::reference(2e-2)
+                },
+                Processor::reference(5e-3),
+                Processor {
+                    speed: 0.8,
+                    ..Processor::reference(1e-3)
+                },
+            ],
+            1.0,
+        )
+        .unwrap();
+        let order = topo::topological_order(wf.dag());
+        let degrees = [1, 2, 3, 2, 1, 2];
+        let sets: Vec<Vec<usize>> = degrees.iter().map(|&d| (0..d).collect()).collect();
+        let strategy = CheckpointStrategy::ByDecreasingWork;
+        let policy = SweepPolicy::Exhaustive;
+        let adapter = optimize_joint(&wf, &platform, &order, strategy, policy, &degrees, 3);
+        let direct = optimize_joint_with(&wf, &platform, &order, strategy, policy, &sets, 3, None);
+        assert_eq!(adapter.best_n, direct.best_n);
+        assert_eq!(adapter.schedule, direct.schedule);
+        assert_eq!(adapter.replica_sets, direct.replica_sets);
+        assert_eq!(
+            adapter.expected_makespan.to_bits(),
+            direct.expected_makespan.to_bits()
+        );
+        assert_eq!(adapter.tiers, None);
+        assert_eq!(
+            (adapter.evaluated, adapter.rounds),
+            (direct.evaluated, direct.rounds)
+        );
+    }
+
+    #[test]
     fn per_task_storage_selection_mixes_tiers() {
         // Task 0 writes a huge checkpoint nobody re-reads expensively;
         // task 1 writes a tiny checkpoint whose recovery read is huge
