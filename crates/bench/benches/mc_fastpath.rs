@@ -9,7 +9,7 @@
 //! [`TrialScratch`]) reads the same rows while every checkpoint before
 //! the wipe is durable, and otherwise walks the graph for the blocks
 //! with an input from before the wipe. The reference engines
-//! (`simulate`, `simulate_nonblocking`, `simulate_replicated`) survive as
+//! (`simulate`, `simulate_nonblocking`, `simulate_replicated_sets`) survive as
 //! the differential-test oracles — and as the "before" side of this
 //! bench.
 //!
@@ -29,7 +29,7 @@ use dagchkpt_dag::{generators, topo, FixedBitSet};
 use dagchkpt_failure::{ExponentialInjector, HeteroPlatform, Processor};
 use dagchkpt_sim::{
     simulate, simulate_nonblocking, simulate_nonblocking_planned, simulate_planned,
-    simulate_replicated, simulate_replicated_planned, NonBlockingConfig, SimConfig, TrialPlan,
+    simulate_replicated_planned, simulate_replicated_sets, NonBlockingConfig, SimConfig, TrialPlan,
     TrialScratch, TrialSpec,
 };
 use std::time::Instant;
@@ -138,8 +138,8 @@ fn measure(
     };
     let platform = platform2(lambda);
     let degrees: Vec<usize> = (0..wf.n_tasks()).map(|i| 1 + i % 2).collect();
-    let prefix: Vec<usize> = (0..2).collect();
-    let sets: Vec<&[usize]> = degrees.iter().map(|&d| &prefix[..d]).collect();
+    let owned_sets: Vec<Vec<usize>> = degrees.iter().map(|&d| (0..d).collect()).collect();
+    let sets: Vec<&[usize]> = owned_sets.iter().map(Vec::as_slice).collect();
     let mut injectors: Vec<ExponentialInjector> = Vec::with_capacity(2);
     let fill_injectors = |injectors: &mut Vec<ExponentialInjector>, i: usize| {
         injectors.clear();
@@ -172,7 +172,7 @@ fn measure(
         "replicated" => (
             time_trials(trials, |i| {
                 fill_injectors(&mut injectors, i);
-                simulate_replicated(wf, s, &platform, &degrees, &mut injectors).makespan
+                simulate_replicated_sets(wf, s, &platform, &owned_sets, &mut injectors).makespan
             }),
             time_trials(trials, |i| {
                 fill_injectors(&mut injectors, i);

@@ -54,10 +54,10 @@ pub use exec::{
     cell_best_rows, cell_csv_rows, run_cell_full, stage_header, tenant_csv_rows, CellExecution,
     ScheduleDetail, TenantRow, GENERIC_HEADER, TENANT_HEADER,
 };
-pub use runner::{auto_policy, run_cell, Cell, Row};
+pub use runner::{auto_policy, Row};
 pub use scenario::{
     AdmissionPolicy, ArrivalSpec, CellPlan, FailureCell, FailureSpec, ObjectiveSpec, OptimizerSpec,
     PlatformSpec, ProcessorSpec, ReplicationSpec, ScenarioError, ScenarioSpec, SeedPolicy,
     SimulatorSpec, StorageSelect, StorageSpec, StrategyCell, StrategySpec, SweepSpec, TenancySpec,
-    TenantSpec, TierSpec, WorkflowSource, MAX_REPLICATION_DEGREE,
+    TenantSpec, WorkflowSource, MAX_REPLICATION_DEGREE,
 };

@@ -1,36 +1,7 @@
-//! Running heuristics over experiment cells.
+//! Heuristic result rows: the row type, the size-matched sweep policy and
+//! the best-per-strategy reduction the paper plots.
 
-use dagchkpt_core::{run_heuristic, CostRule, Heuristic, SweepPolicy, Workflow};
-use dagchkpt_failure::FaultModel;
-use dagchkpt_workflows::PegasusKind;
-
-/// One experiment cell: an application instance under one fault rate and
-/// one cost rule.
-#[derive(Debug, Clone, Copy)]
-pub struct Cell {
-    /// Application.
-    pub kind: PegasusKind,
-    /// Number of tasks.
-    pub n: usize,
-    /// Failure rate `λ` (per second).
-    pub lambda: f64,
-    /// Checkpoint/recovery cost rule.
-    pub rule: CostRule,
-    /// Generation seed.
-    pub seed: u64,
-}
-
-impl Cell {
-    /// Generates the cell's workflow instance.
-    pub fn instance(&self) -> Workflow {
-        self.kind.generate(self.n, self.rule, self.seed)
-    }
-
-    /// Fault model (`D = 0` as in all paper experiments).
-    pub fn model(&self) -> FaultModel {
-        FaultModel::new(self.lambda, 0.0)
-    }
-}
+use dagchkpt_core::SweepPolicy;
 
 /// One result row (one heuristic on one cell).
 #[derive(Debug, Clone)]
@@ -99,29 +70,6 @@ pub fn auto_policy(n: usize) -> SweepPolicy {
     }
 }
 
-/// Runs `heuristics` on one cell.
-pub fn run_cell(cell: &Cell, heuristics: &[Heuristic], policy: SweepPolicy) -> Vec<Row> {
-    let wf = cell.instance();
-    let model = cell.model();
-    heuristics
-        .iter()
-        .map(|&h| {
-            let r = run_heuristic(&wf, model, h, policy);
-            Row {
-                workflow: cell.kind.name().to_string(),
-                n: cell.n,
-                lambda: cell.lambda,
-                rule: cell.rule.label(),
-                heuristic: r.name,
-                expected: r.expected_makespan,
-                tinf: wf.total_work(),
-                ratio: r.ratio,
-                best_n: r.best_n,
-            }
-        })
-        .collect()
-}
-
 /// The best row per checkpoint strategy (minimum expected makespan over the
 /// linearizations) — what the paper plots in Figures 3, 5, 6 and 7.
 pub fn best_per_ckpt_strategy(rows: &[Row]) -> Vec<Row> {
@@ -141,7 +89,9 @@ pub fn best_per_ckpt_strategy(rows: &[Row]) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dagchkpt_core::paper_heuristics;
+    use dagchkpt_core::{paper_heuristics, run_heuristic, CostRule};
+    use dagchkpt_failure::FaultModel;
+    use dagchkpt_workflows::PegasusKind;
 
     #[test]
     fn auto_policy_switches_at_300() {
@@ -154,45 +104,36 @@ mod tests {
     }
 
     #[test]
-    fn run_cell_produces_one_row_per_heuristic() {
-        let cell = Cell {
-            kind: PegasusKind::Montage,
-            n: 50,
-            lambda: 1e-3,
-            rule: CostRule::ProportionalToWork { ratio: 0.1 },
-            seed: 1,
-        };
-        let hs = paper_heuristics(1);
-        let rows = run_cell(&cell, &hs, auto_policy(50));
-        assert_eq!(rows.len(), 14);
-        for r in &rows {
-            assert_eq!(r.workflow, "Montage");
-            assert!(r.ratio >= 1.0, "{}: ratio {}", r.heuristic, r.ratio);
-            assert!(r.ratio.is_finite());
-        }
-        // CSV serialization is complete.
-        assert_eq!(rows[0].to_csv().len(), Row::CSV_HEADER.len());
-    }
-
-    #[test]
     fn best_per_ckpt_strategy_covers_all_six() {
-        let cell = Cell {
-            kind: PegasusKind::CyberShake,
-            n: 50,
-            lambda: 1e-3,
-            rule: CostRule::ProportionalToWork { ratio: 0.1 },
-            seed: 2,
-        };
-        let rows = run_cell(&cell, &paper_heuristics(1), auto_policy(50));
+        let wf =
+            PegasusKind::CyberShake.generate(50, CostRule::ProportionalToWork { ratio: 0.1 }, 2);
+        let model = FaultModel::new(1e-3, 0.0);
+        let rows: Vec<Row> = paper_heuristics(1)
+            .into_iter()
+            .map(|h| {
+                let r = run_heuristic(&wf, model, h, auto_policy(50));
+                Row {
+                    workflow: "CyberShake".to_string(),
+                    n: 50,
+                    lambda: 1e-3,
+                    rule: "c=0.1w".to_string(),
+                    heuristic: r.name,
+                    expected: r.expected_makespan,
+                    tinf: wf.total_work(),
+                    ratio: r.ratio,
+                    best_n: r.best_n,
+                }
+            })
+            .collect();
+        assert_eq!(rows[0].to_csv().len(), Row::CSV_HEADER.len());
         let best = best_per_ckpt_strategy(&rows);
         assert_eq!(best.len(), 6);
-        // CkptW best-of-3 ≤ every CkptW row.
-        let w_best = best
-            .iter()
-            .find(|r| r.heuristic.ends_with("CkptW"))
-            .unwrap();
-        for r in rows.iter().filter(|r| r.heuristic.ends_with("CkptW")) {
-            assert!(w_best.expected <= r.expected + 1e-9);
+        // Each selected row is minimal among its strategy's linearizations.
+        for b in &best {
+            let suffix = b.heuristic.split('-').nth(1).unwrap();
+            for r in rows.iter().filter(|r| r.heuristic.ends_with(suffix)) {
+                assert!(b.expected <= r.expected);
+            }
         }
     }
 }

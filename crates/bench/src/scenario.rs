@@ -851,6 +851,13 @@ impl ReplicationSpec {
 /// machine (one processor at the cell's rate), where the replicated
 /// evaluator reduces to the proxy model: every optimizer then yields the
 /// proxy's schedules.
+///
+/// The non-proxy optimizers sweep heuristic budgets. Closed-form
+/// strategies (`Exact*`, `Young`, `Daly`) have no budget to sweep, so
+/// under every optimizer they keep their proxy-model schedule and are
+/// priced on the cell's platform and replica sets, exactly as under
+/// `Proxy`. With an `arrivals` stream, the contention engine replays
+/// whichever schedule the optimizer chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum OptimizerSpec {
     /// Optimize under the single-machine proxy model; platforms and
@@ -967,6 +974,8 @@ impl ObjectiveSpec {
 /// (`dagchkpt_sim::tenant`) over a stream of copies of the cell's
 /// workflow instance arriving at these instants — the classic per-cell
 /// rows are computed exactly as before and are untouched by this axis.
+/// Each job runs the strategy's chosen schedule, whichever optimizer chose
+/// it, on one replica: the axis does not combine with `replications`.
 ///
 /// Like [`OptimizerSpec`], the field is serialized **only when
 /// non-default** (`skip_serializing_if`), so every spec written before
@@ -1205,40 +1214,6 @@ impl TenancySpec {
     }
 }
 
-/// One checkpoint storage tier of the `storage` axis — the serde face of
-/// `dagchkpt_failure::StorageTier`. `contention` defaults to `0` (no
-/// slowdown when replicas write concurrently); the other fields are
-/// required.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TierSpec {
-    /// Tier name (non-empty, unique), reported in output rows.
-    pub name: String,
-    /// Checkpoint-write bandwidth factor (finite, > 0; `1.0` = the
-    /// platform's reference write path).
-    pub write_bw: f64,
-    /// Recovery-read bandwidth factor (finite, > 0).
-    pub read_bw: f64,
-    /// Size multiplier applied to both directions (finite, > 0; `< 1`
-    /// models tier-side compression).
-    pub compression: f64,
-    /// Per-extra-replica write slowdown when a task's replica group
-    /// checkpoints concurrently (finite, ≥ 0).
-    #[serde(default)]
-    pub contention: f64,
-}
-
-impl TierSpec {
-    fn tier(&self) -> StorageTier {
-        StorageTier {
-            name: self.name.clone(),
-            write_bw: self.write_bw,
-            read_bw: self.read_bw,
-            compression: self.compression,
-            contention: self.contention,
-        }
-    }
-}
-
 /// How each task's checkpoint storage tier is chosen.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub enum StorageSelect {
@@ -1289,8 +1264,9 @@ pub enum StorageSpec {
     Off,
     /// A tier hierarchy, searched per [`StorageSelect`].
     Tiers {
-        /// The tiers, in declaration order (tier index order).
-        tiers: Vec<TierSpec>,
+        /// The tiers, in declaration order (tier index order). A tier
+        /// without `contention` reads it as `0`.
+        tiers: Vec<StorageTier>,
         /// Tier-selection strategy.
         #[serde(default)]
         select: StorageSelect,
@@ -1323,7 +1299,7 @@ impl StorageSpec {
         match self {
             StorageSpec::Off => Ok(None),
             StorageSpec::Tiers { tiers, select } => {
-                let h = StorageHierarchy::new(tiers.iter().map(|t| t.tier()).collect())
+                let h = StorageHierarchy::new(tiers.clone())
                     .map_err(|e| ScenarioError::new(format!("storage: {e}")))?;
                 if let StorageSelect::Fixed { tier } = select {
                     if h.index_of(tier).is_none() {
@@ -1779,13 +1755,6 @@ impl ScenarioSpec {
             ));
         }
         if !ArrivalSpec::is_off(&self.arrivals) {
-            if self.optimizer != OptimizerSpec::Proxy {
-                return Err(ScenarioError::new(format!(
-                    "arrivals require the default proxy optimizer (the contention engine \
-                     reuses each strategy's proxy-optimized schedule), got `{}`",
-                    self.optimizer.label()
-                )));
-            }
             if !self.replications.is_empty() {
                 return Err(ScenarioError::new(
                     "arrivals cannot be combined with a `replications` axis \
@@ -1800,22 +1769,6 @@ impl ScenarioSpec {
                 return Err(ScenarioError::new(
                     "arrivals need a montecarlo simulator to draw per-job fault trials from",
                 ));
-            }
-        }
-        if self.optimizer != OptimizerSpec::Proxy {
-            if let Some(s) = self.strategies.iter().find(|s| {
-                !matches!(
-                    s,
-                    StrategySpec::Heuristic { .. }
-                        | StrategySpec::Paper
-                        | StrategySpec::WorkAndCost
-                )
-            }) {
-                return Err(ScenarioError::new(format!(
-                    "optimizer `{}` only applies to heuristic strategies; \
-                     {s:?} optimizes under its own proxy-model closed form",
-                    self.optimizer.label()
-                )));
             }
         }
         Ok(())
@@ -2444,30 +2397,39 @@ mod tests {
         }
     }
 
-    /// Non-proxy optimizers need heuristic strategies; without a
-    /// platform axis they run on the implicit reference machine.
+    /// Non-proxy optimizers compose with every strategy (closed forms
+    /// keep their proxy budget and are priced on the platform) and with
+    /// an arrival stream; without a platform axis they run on the
+    /// implicit reference machine.
     #[test]
     fn optimizer_validation_rules() {
-        let mut no_platform = tiny_spec();
-        no_platform.optimizer = OptimizerSpec::ReplicationAware;
-        assert!(no_platform.expand().is_ok());
+        for optimizer in [OptimizerSpec::ReplicationAware, OptimizerSpec::Joint] {
+            let mut no_platform = tiny_spec();
+            no_platform.optimizer = optimizer;
+            assert!(no_platform.expand().is_ok());
 
-        let mut exact = tiny_spec();
-        exact.platforms = vec![PlatformSpec::Uniform { count: 2 }];
-        exact.optimizer = OptimizerSpec::Joint;
-        exact.strategies.push(StrategySpec::ExactChain);
-        let err = exact.expand().unwrap_err();
-        assert!(
-            err.0.contains("only applies to heuristic strategies"),
-            "{err}"
-        );
+            let mut closed_forms = tiny_spec();
+            closed_forms.platforms = vec![PlatformSpec::Uniform { count: 2 }];
+            closed_forms.optimizer = optimizer;
+            closed_forms.strategies = vec![
+                StrategySpec::Paper,
+                StrategySpec::WorkAndCost,
+                StrategySpec::ExactChain,
+                StrategySpec::Young,
+                StrategySpec::Daly,
+            ];
+            assert!(closed_forms.expand().is_ok());
 
-        // Heuristic bundles are fine.
-        let mut ok = tiny_spec();
-        ok.platforms = vec![PlatformSpec::Uniform { count: 2 }];
-        ok.optimizer = OptimizerSpec::ReplicationAware;
-        ok.strategies = vec![StrategySpec::Paper, StrategySpec::WorkAndCost];
-        assert!(ok.expand().is_ok());
+            let mut arrivals = tiny_spec();
+            arrivals.platforms = vec![PlatformSpec::Uniform { count: 2 }];
+            arrivals.optimizer = optimizer;
+            arrivals.simulators = vec![SimulatorSpec::MonteCarlo { trials: 10 }];
+            arrivals.arrivals = ArrivalSpec::Poisson {
+                count: 3,
+                mean_gap: 50.0,
+            };
+            assert!(arrivals.expand().is_ok());
+        }
     }
 
     /// The replication-degree cap error names the 2^r closed form and the
@@ -2672,8 +2634,8 @@ mod tests {
         );
     }
 
-    fn tier_spec(name: &str, write_bw: f64, read_bw: f64) -> TierSpec {
-        TierSpec {
+    fn tier_spec(name: &str, write_bw: f64, read_bw: f64) -> StorageTier {
+        StorageTier {
             name: name.to_string(),
             write_bw,
             read_bw,

@@ -628,14 +628,14 @@ pub fn storage_tiers_campaign(scale: Scale, seed: u64) -> Campaign {
         .collect();
     let forkjoin = Workflow::new(dag, costs);
     let tiers = vec![
-        crate::scenario::TierSpec {
+        dagchkpt_failure::StorageTier {
             name: "local".to_string(),
             write_bw: 8.0,
             read_bw: 0.25,
             compression: 1.0,
             contention: 0.0,
         },
-        crate::scenario::TierSpec {
+        dagchkpt_failure::StorageTier {
             name: "pfs".to_string(),
             write_bw: 0.25,
             read_bw: 8.0,

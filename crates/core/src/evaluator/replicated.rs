@@ -116,7 +116,7 @@
 //! tests).
 //!
 //! Replica sets are the representation. The degree entry points
-//! ([`ReplicatedEvaluator::from_degrees`], [`evaluate_replicated`],
+//! ([`ReplicatedEvaluator::from_degrees`],
 //! [`expected_makespan_replicated`], and `optimize_joint` in
 //! [`crate::strategies`]) are adapters kept for existing callers: each
 //! turns degree `d` into the fastest-first prefix set `[0, …, d−1]`,
@@ -834,19 +834,8 @@ impl<'a> ReplicatedEvaluator<'a> {
 
 /// Expected makespan of `schedule` on `platform` with per-task replication
 /// `degrees` (indexed by task id, clamped to `[1, n_procs]`) — the degree
-/// adapter of [`evaluate_replicated_sets`].
-pub fn expected_makespan_replicated(
-    wf: &Workflow,
-    platform: &HeteroPlatform,
-    schedule: &Schedule,
-    degrees: &[usize],
-) -> f64 {
-    evaluate_replicated(wf, platform, schedule, degrees).expected_makespan
-}
-
-/// Full replication-aware evaluation over fastest-first prefix replica
-/// sets of the given `degrees` — the degree adapter of
-/// [`evaluate_replicated_sets`].
+/// adapter of [`evaluate_replicated_sets`]: degree `d` is the
+/// fastest-first prefix set `[0, …, d−1]`.
 ///
 /// # Panics
 ///
@@ -854,13 +843,15 @@ pub fn expected_makespan_replicated(
 /// degree reaches 32 (the failed-attempt closed form enumerates subsets
 /// through a 32-bit mask; the scenario layer caps degrees at
 /// [`MAX_REPLICATION_DEGREE`] anyway).
-pub fn evaluate_replicated(
+pub fn expected_makespan_replicated(
     wf: &Workflow,
     platform: &HeteroPlatform,
     schedule: &Schedule,
     degrees: &[usize],
-) -> EvalReport {
-    ReplicatedEvaluator::from_degrees(wf, platform, degrees).evaluate(schedule)
+) -> f64 {
+    ReplicatedEvaluator::from_degrees(wf, platform, degrees)
+        .evaluate(schedule)
+        .expected_makespan
 }
 
 /// Full replication-aware evaluation over explicit per-task replica
@@ -1025,7 +1016,7 @@ mod tests {
         let (wf, s) = fig1_schedule();
         let platform = single(3e-3, 1.5);
         let hom = evaluator::evaluate(&wf, FaultModel::new(3e-3, 1.5), &s);
-        let rep = evaluate_replicated(&wf, &platform, &s, &[1; 8]);
+        let rep = ReplicatedEvaluator::from_degrees(&wf, &platform, &[1; 8]).evaluate(&s);
         assert_eq!(
             rep.expected_makespan.to_bits(),
             hom.expected_makespan.to_bits()
@@ -1056,7 +1047,7 @@ mod tests {
         // one reference processor, but the platform is *not* degenerate, so
         // the group recursion runs.
         let platform = HeteroPlatform::new(vec![Processor::reference(4e-3); 2], 2.0).unwrap();
-        let rep = evaluate_replicated(&wf, &platform, &s, &[1; 8]);
+        let rep = ReplicatedEvaluator::from_degrees(&wf, &platform, &[1; 8]).evaluate(&s);
         let hom = evaluator::evaluate(&wf, FaultModel::new(4e-3, 2.0), &s);
         let rel = (rep.expected_makespan - hom.expected_makespan).abs() / hom.expected_makespan;
         assert!(
@@ -1224,7 +1215,7 @@ mod tests {
         let wf = Workflow::uniform(generators::chain(0), 1.0, 0.0);
         let s = Schedule::never(&wf, vec![]).unwrap();
         let platform = HeteroPlatform::homogeneous(2, 1e-3, 0.0).unwrap();
-        let rep = evaluate_replicated(&wf, &platform, &s, &[]);
+        let rep = ReplicatedEvaluator::from_degrees(&wf, &platform, &[]).evaluate(&s);
         assert_eq!(rep.expected_makespan, 0.0);
         assert_eq!(rep.expected_faults, 0.0);
     }
@@ -1251,7 +1242,7 @@ mod tests {
         )
         .unwrap();
         let degrees = [2usize, 1, 3, 2, 1, 3, 2, 1];
-        let by_deg = evaluate_replicated(&wf, &platform, &s, &degrees);
+        let by_deg = ReplicatedEvaluator::from_degrees(&wf, &platform, &degrees).evaluate(&s);
         let sets: Vec<Vec<usize>> = degrees.iter().map(|&d| (0..d).collect()).collect();
         let by_set = evaluate_replicated_sets(&wf, &platform, &s, &sets);
         assert_eq!(
@@ -1388,7 +1379,7 @@ mod tests {
         // Degenerate platform: the storage-aware evaluator still
         // delegates to the homogeneous evaluator.
         let degenerate = single(3e-3, 1.5);
-        let plain = evaluate_replicated(&wf, &degenerate, &s, &[1; 8]);
+        let plain = ReplicatedEvaluator::from_degrees(&wf, &degenerate, &[1; 8]).evaluate(&s);
         let stored = ReplicatedEvaluator::from_degrees(&wf, &degenerate, &[1; 8])
             .with_storage(&h, &[0; 8])
             .evaluate(&s);
@@ -1410,7 +1401,7 @@ mod tests {
             0.5,
         )
         .unwrap();
-        let plain = evaluate_replicated(&wf, &platform, &s, &[2; 8]);
+        let plain = ReplicatedEvaluator::from_degrees(&wf, &platform, &[2; 8]).evaluate(&s);
         let stored = ReplicatedEvaluator::from_degrees(&wf, &platform, &[2; 8])
             .with_storage(&h, &[0; 8])
             .evaluate(&s);

@@ -132,22 +132,6 @@ pub fn run_all(
         .collect()
 }
 
-/// For each checkpoint strategy, the result of the best linearization — the
-/// aggregation the paper plots in its Figures 3, 5, 6 and 7.
-pub fn best_linearization_per_ckpt(results: &[HeuristicResult]) -> Vec<&HeuristicResult> {
-    let mut best: Vec<&HeuristicResult> = Vec::new();
-    for ckpt in ["CkptNvr", "CkptAlws", "CkptPer", "CkptW", "CkptC", "CkptD"] {
-        if let Some(r) = results
-            .iter()
-            .filter(|r| r.name.ends_with(&format!("-{ckpt}")))
-            .min_by(|a, b| a.expected_makespan.total_cmp(&b.expected_makespan))
-        {
-            best.push(r);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,24 +211,6 @@ mod tests {
             let v = get(s).expected_makespan;
             assert!(v <= nvr + 1e-9, "{s} worse than CkptNvr");
             assert!(v <= alws + 1e-9, "{s} worse than CkptAlws");
-        }
-    }
-
-    #[test]
-    fn best_linearization_per_ckpt_selects_minimum() {
-        let wf = wf();
-        let m = FaultModel::new(1e-3, 0.0);
-        let results = run_all(&wf, m, SweepPolicy::Exhaustive, 3);
-        let best = best_linearization_per_ckpt(&results);
-        assert_eq!(best.len(), 6);
-        // Each selected entry is minimal among its strategy's variants.
-        for b in &best {
-            let suffix = b.name.split('-').nth(1).unwrap();
-            for r in &results {
-                if r.name.ends_with(&format!("-{suffix}")) {
-                    assert!(b.expected_makespan <= r.expected_makespan + 1e-12);
-                }
-            }
         }
     }
 }

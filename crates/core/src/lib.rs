@@ -36,13 +36,12 @@ pub mod schedule;
 pub mod strategies;
 
 pub use evaluator::replicated::{
-    evaluate_replicated, evaluate_replicated_sets, expected_makespan_replicated,
-    normalize_replica_set, replica_rank_count, ReplicatedEvaluator, MAX_REPLICATION_DEGREE,
+    evaluate_replicated_sets, expected_makespan_replicated, normalize_replica_set,
+    replica_rank_count, ReplicatedEvaluator, MAX_REPLICATION_DEGREE,
 };
 pub use evaluator::{evaluate, expected_makespan, EvalReport};
 pub use heuristics::{
-    best_linearization_per_ckpt, paper_heuristics, run_all, run_heuristic, run_heuristic_with,
-    Heuristic, HeuristicResult,
+    paper_heuristics, run_all, run_heuristic, run_heuristic_with, Heuristic, HeuristicResult,
 };
 pub use linearize::{linearize, linearize_with_priority, LinearizationStrategy, Priority};
 pub use model::{CostRule, ModelError, TaskCosts, Workflow};

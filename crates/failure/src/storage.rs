@@ -60,7 +60,9 @@ pub struct StorageTier {
     /// free checkpoints and silently break every cost comparison.
     pub compression: f64,
     /// Fractional slowdown added by each extra concurrent replica
-    /// writer (`0` = perfect scaling). Must be finite and `≥ 0`.
+    /// writer (`0` = perfect scaling). Must be finite and `≥ 0`;
+    /// `0` when a serialized tier omits it.
+    #[serde(default)]
     pub contention: f64,
 }
 

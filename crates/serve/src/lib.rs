@@ -13,8 +13,9 @@
 //! [`std::net::TcpListener`] (see [`protocol`]), per-core worker threads
 //! with response batching (see [`server`]), and a shared size-bounded
 //! answer cache with hit/miss counters (see [`cache`]). The [`loadgen`]
-//! module replays golden-campaign cells as traffic and emits
-//! `BENCH_serve.json`.
+//! module replays golden-campaign cells against a daemon and writes the
+//! served rows as CSV for the byte-diff; throughput and latency are
+//! perfbench's `serve_mixed` workload.
 
 pub mod cache;
 pub mod loadgen;
@@ -23,9 +24,7 @@ pub mod protocol;
 pub mod server;
 
 pub use cache::{CacheStats, CellAnswer, HitFrame, ResponseCache};
-pub use loadgen::{
-    bench_load, replay_campaign, run_malformed_corpus, BenchReport, Client, ClientError,
-};
+pub use loadgen::{replay_campaign, run_malformed_corpus, Client, ClientError};
 pub use protocol::{
     read_frame, write_frame, write_request, write_response, FrameRead, Request, Response, MAX_FRAME,
 };

@@ -1,17 +1,11 @@
 //! The load generator: replays campaign cells against a running daemon.
 //!
-//! Two passes, matching the bench contract:
-//!
-//! 1. **Correctness replay** ([`replay_campaign`]) — every scenario
-//!    stage's cells in expansion order, writing the served rows through
-//!    the same [`CsvWriter`] the batch engine uses. The files must
-//!    byte-diff clean against `dagchkpt-bench` output (CI pins this
-//!    against the golden corpus).
-//! 2. **Sustained load** ([`bench_load`]) — the same cells replayed for
-//!    `rounds` rounds over `connections` parallel connections,
-//!    measuring sustained req/s and latency percentiles; the repeat
-//!    rounds hit the shared answer cache, so the cache hit rate is
-//!    reported alongside.
+//! The correctness replay ([`replay_campaign`]) requests every scenario
+//! stage's cells in expansion order and writes the served rows through the
+//! same [`CsvWriter`] the batch engine uses. The files must byte-diff
+//! clean against `dagchkpt-bench` output (CI pins this against the golden
+//! corpus). Serve throughput and latency are measured by perfbench's
+//! `serve_mixed` workload, over a steady-state window.
 //!
 //! Plus the malformed-input corpus ([`run_malformed_corpus`]): NaN and
 //! `1e400` weights, truncated and oversized frames, unknown strategies —
@@ -25,8 +19,6 @@ use dagchkpt_bench::{
     WorkflowSource,
 };
 use dagchkpt_core::CostRule;
-use dagchkpt_sim::QuantileSketch;
-use serde::Serialize;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::path::Path;
@@ -164,22 +156,6 @@ impl Client {
     }
 }
 
-/// The `(spec, cell, format)` work-list of every scenario stage, with the
-/// stage's output file name.
-fn stage_requests(campaign: &Campaign) -> Vec<(String, OutputFormat, ScenarioSpec, usize)> {
-    let mut out = Vec::new();
-    for stage in &campaign.stages {
-        if let Stage::Scenario { scenario, output } = stage {
-            if let Ok(plans) = scenario.expand() {
-                for i in 0..plans.len() {
-                    out.push((output.file.clone(), output.format, scenario.clone(), i));
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Outcome of the correctness replay.
 #[derive(Debug)]
 pub struct ReplayReport {
@@ -271,108 +247,6 @@ pub fn replay_campaign(
         }
     }
     Ok(report)
-}
-
-/// The serving benchmark summary, written as `BENCH_serve.json`.
-#[derive(Debug, Serialize)]
-pub struct BenchReport {
-    /// Cell requests issued across both passes.
-    pub requests: u64,
-    /// Wall-clock of the sustained-load pass (seconds).
-    pub elapsed_s: f64,
-    /// Sustained requests per second over the load pass.
-    pub rps: f64,
-    /// Median latency (milliseconds, load pass).
-    pub p50_ms: f64,
-    /// 99th-percentile latency (milliseconds, load pass).
-    pub p99_ms: f64,
-    /// Daemon-side cache hits at the end of the run.
-    pub cache_hits: u64,
-    /// Daemon-side cache misses at the end of the run.
-    pub cache_misses: u64,
-    /// `hits / (hits + misses)`.
-    pub hit_rate: f64,
-}
-
-/// Replays the campaign's cells for `rounds` rounds over `connections`
-/// parallel connections, then queries the daemon's counters. Latency
-/// quantiles come from the same streaming P² sketch the simulator folds
-/// over Monte-Carlo trials: one sketch per connection, merged at the end.
-pub fn bench_load(
-    addr: &str,
-    campaign: &Campaign,
-    rounds: usize,
-    connections: usize,
-    read_timeout: Option<Duration>,
-) -> Result<BenchReport, String> {
-    let work = stage_requests(campaign);
-    if work.is_empty() {
-        return Err("campaign has no scenario cells to replay".to_string());
-    }
-    let connections = connections.max(1);
-    let started = Instant::now();
-    let mut latency_sketch = QuantileSketch::new();
-    let results: Vec<Result<QuantileSketch, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|_| {
-                let work = &work;
-                scope.spawn(move || {
-                    let mut client = Client::connect_with_timeout(addr, read_timeout)
-                        .map_err(|e| format!("connect {addr}: {e}"))?;
-                    let mut latencies = QuantileSketch::new();
-                    for _ in 0..rounds {
-                        for (_, format, spec, cell) in work {
-                            let t = Instant::now();
-                            let resp = client.call(&Request::Cell {
-                                spec: spec.clone(),
-                                cell: *cell,
-                                format: *format,
-                            })?;
-                            latencies.push(t.elapsed().as_secs_f64() * 1e3);
-                            if let Response::Error { code, message } = resp {
-                                return Err(format!("cell {cell}: {code}: {message}"));
-                            }
-                        }
-                    }
-                    Ok(latencies)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Err("worker panicked".into())))
-            .collect()
-    });
-    for r in results {
-        latency_sketch = latency_sketch.merge(r?);
-    }
-    let total = latency_sketch.count();
-    let elapsed = started.elapsed().as_secs_f64();
-    let mut client = Client::connect_with_timeout(addr, read_timeout)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    let (hits, misses) = match client.call(&Request::Stats)? {
-        Response::Stats { hits, misses, .. } => (hits, misses),
-        other => return Err(format!("stats: {other:?}")),
-    };
-    let lookups = hits + misses;
-    Ok(BenchReport {
-        requests: total,
-        elapsed_s: elapsed,
-        rps: if elapsed > 0.0 {
-            total as f64 / elapsed
-        } else {
-            f64::NAN
-        },
-        p50_ms: latency_sketch.p50(),
-        p99_ms: latency_sketch.p99(),
-        cache_hits: hits,
-        cache_misses: misses,
-        hit_rate: if lookups > 0 {
-            hits as f64 / lookups as f64
-        } else {
-            0.0
-        },
-    })
 }
 
 /// A tiny valid scheduling query to mutate in probes.

@@ -1,15 +1,16 @@
-//! `dagchkpt-serve` — serve scheduling queries, or generate load.
+//! `dagchkpt-serve` — serve scheduling queries, or replay a campaign's
+//! cells against a running daemon and byte-diff the served rows.
 //!
 //! ```text
 //! dagchkpt-serve --listen 127.0.0.1:0 --addr-file /tmp/addr   # daemon
 //! dagchkpt-serve --loadgen ADDR --campaign replication_aware --quick \
-//!     --seed 42 --out results [--rounds 3] [--connections 4]  # replay + bench
+//!     --seed 42 --out results                                 # replay
 //! dagchkpt-serve --probe ADDR                                 # malformed corpus
 //! dagchkpt-serve --shutdown ADDR                              # graceful stop
 //! ```
 
 use dagchkpt_bench::{builtin, builtin_names, Scale};
-use dagchkpt_serve::loadgen::{bench_load, replay_campaign, run_malformed_corpus, Client};
+use dagchkpt_serve::loadgen::{replay_campaign, run_malformed_corpus, Client};
 use dagchkpt_serve::protocol::{Request, Response};
 use dagchkpt_serve::server::{Server, DEFAULT_READ_TIMEOUT_MS};
 use std::path::PathBuf;
@@ -19,7 +20,7 @@ const USAGE: &str = "usage:
   dagchkpt-serve --listen ADDR [--workers N] [--cache-capacity N]
                  [--read-timeout-ms N] [--addr-file PATH]
   dagchkpt-serve --loadgen ADDR --campaign NAME [--quick|--full] [--seed S]
-                 [--out DIR] [--rounds N] [--connections N] [--read-timeout MS]
+                 [--out DIR] [--read-timeout MS]
   dagchkpt-serve --probe ADDR [--read-timeout MS]
   dagchkpt-serve --shutdown ADDR [--read-timeout MS]";
 
@@ -41,8 +42,6 @@ struct Args {
     cache_capacity: usize,
     read_timeout_ms: u64,
     client_read_timeout: Option<Duration>,
-    rounds: usize,
-    connections: usize,
     addr_file: Option<PathBuf>,
 }
 
@@ -60,8 +59,6 @@ fn parse_args() -> Args {
         cache_capacity: 256,
         read_timeout_ms: DEFAULT_READ_TIMEOUT_MS,
         client_read_timeout: None,
-        rounds: 3,
-        connections: 4,
         addr_file: None,
     };
     let mut it = std::env::args().skip(1);
@@ -110,16 +107,6 @@ fn parse_args() -> Args {
                     fail("--read-timeout must be > 0 ms");
                 }
                 args.client_read_timeout = Some(Duration::from_millis(ms));
-            }
-            "--rounds" => {
-                args.rounds = value(&mut it, "--rounds")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--rounds needs an integer"))
-            }
-            "--connections" => {
-                args.connections = value(&mut it, "--connections")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--connections needs an integer"))
             }
             "--addr-file" => args.addr_file = Some(PathBuf::from(value(&mut it, "--addr-file"))),
             "--help" | "-h" => {
@@ -207,7 +194,7 @@ fn main() {
         ))
     });
 
-    // Pass 1: correctness replay, writing CSVs for the byte-diff.
+    // Correctness replay, writing CSVs for the byte-diff.
     let replay = replay_campaign(addr, &campaign, &args.out, args.client_read_timeout)
         .unwrap_or_else(|e| fail(&format!("replay: {e}")));
     println!(
@@ -216,27 +203,4 @@ fn main() {
         replay.files.len(),
         replay.cached
     );
-
-    // Pass 2: sustained load over parallel connections.
-    let report = bench_load(
-        addr,
-        &campaign,
-        args.rounds,
-        args.connections,
-        args.client_read_timeout,
-    )
-    .unwrap_or_else(|e| fail(&format!("bench: {e}")));
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    let path = args.out.join("BENCH_serve.json");
-    std::fs::write(&path, format!("{json}\n"))
-        .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-    println!(
-        "sustained {:.1} req/s over {} connections (p50 {:.2} ms, p99 {:.2} ms, cache hit rate {:.0}%)",
-        report.rps,
-        args.connections,
-        report.p50_ms,
-        report.p99_ms,
-        report.hit_rate * 100.0
-    );
-    println!("wrote {}", path.display());
 }

@@ -180,20 +180,21 @@ fn loadgen_replay_byte_diffs_clean_against_the_batch_csv() {
 /// tier assignment.
 #[test]
 fn storage_tier_assignments_ride_along_in_served_answers() {
-    use dagchkpt_bench::{StorageSelect, StorageSpec, TierSpec};
+    use dagchkpt_bench::{StorageSelect, StorageSpec};
+    use dagchkpt_failure::StorageTier;
     let mut spec = mini_spec();
     spec.name = "serve_storage".to_string();
     spec.sizes = vec![6];
     spec.storage = StorageSpec::Tiers {
         tiers: vec![
-            TierSpec {
+            StorageTier {
                 name: "local".to_string(),
                 write_bw: 4.0,
                 read_bw: 0.5,
                 compression: 1.0,
                 contention: 0.0,
             },
-            TierSpec {
+            StorageTier {
                 name: "pfs".to_string(),
                 write_bw: 0.5,
                 read_bw: 4.0,

@@ -31,7 +31,6 @@ pub mod quantile;
 pub mod replicated;
 pub mod stats;
 pub mod tenant;
-pub mod timeline;
 pub mod trialplan;
 
 #[cfg(test)]
@@ -40,9 +39,7 @@ mod differential_tests;
 pub use engine::{simulate, SimConfig, SimResult};
 pub use events::{Event, UnitKind};
 pub use memory::MemoryState;
-pub use montecarlo::{
-    run_trials, run_trials_with, trial_metric_stats, trial_metric_tail_stats, TrialSpec, TrialStats,
-};
+pub use montecarlo::{run_trials, run_trials_with, trial_metric_tail_stats, TrialSpec, TrialStats};
 pub use nonblocking::{
     run_nonblocking_trials_with, simulate_nonblocking, simulate_nonblocking_planned,
     NonBlockingConfig,
@@ -52,7 +49,7 @@ pub use plan::{recovery_plan, recovery_plan_with, PlanStep};
 pub use quantile::{QuantileSketch, TAIL_TARGETS};
 pub use replicated::{
     run_replicated_nonblocking_trials_with, run_replicated_sets_trials_with,
-    run_replicated_trials_with, simulate_replicated, simulate_replicated_nonblocking,
+    run_replicated_trials_with, simulate_replicated_nonblocking,
     simulate_replicated_nonblocking_sets, simulate_replicated_planned, simulate_replicated_sets,
 };
 pub use stats::Stats;

@@ -53,12 +53,6 @@ impl TrialSpec {
         }
     }
 
-    /// Same spec with the parallelism knob set to `parallel`.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
     /// Seed for the `i`-th trial (SplitMix64 finalizer).
     pub fn trial_seed(&self, i: usize) -> u64 {
         splitmix(self.seed, i as u64)
@@ -386,24 +380,13 @@ where
     )
 }
 
-/// Folds an arbitrary per-trial metric into [`Stats`] with the same
-/// deterministic chunk grouping as [`run_trials_with`]: `metric(i)` runs
-/// for every `i ∈ 0..spec.trials` (in parallel when `spec.parallel`), and
-/// per-chunk accumulators merge in chunk order, so the result is
-/// bit-identical for any thread count and for the sequential path.
-pub fn trial_metric_stats<F>(spec: TrialSpec, metric: F) -> Stats
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    trial_metric_tail_stats(spec, metric).0
-}
-
-/// [`trial_metric_stats`] plus the tail sketch of the same metric stream:
-/// one fold produces both the moment statistics and the p50/p95/p99
-/// sketch, with the identical deterministic chunk grouping (the [`Stats`]
-/// half is bit-identical to what [`trial_metric_stats`] returned before
-/// the sketch existed — the sketch rides in the same accumulator without
-/// touching the moment arithmetic).
+/// Folds an arbitrary per-trial metric into [`Stats`] plus the tail
+/// sketch of the same metric stream, with the same deterministic chunk
+/// grouping as [`run_trials_with`]: `metric(i)` runs for every
+/// `i ∈ 0..spec.trials` (in parallel when `spec.parallel`), and per-chunk
+/// accumulators merge in chunk order, so the result is bit-identical for
+/// any thread count and for the sequential path. The sketch rides in the
+/// same accumulator without touching the moment arithmetic.
 pub fn trial_metric_tail_stats<F>(spec: TrialSpec, metric: F) -> (Stats, QuantileSketch)
 where
     F: Fn(usize) -> f64 + Sync,
@@ -472,14 +455,14 @@ mod tests {
     }
 
     #[test]
-    fn trial_metric_stats_matches_run_trials_makespan() {
+    fn trial_metric_tail_stats_matches_run_trials_makespan() {
         let wf = Workflow::uniform(generators::fork_join(4), 10.0, 1.0);
         let order = topo::topological_order(wf.dag());
         let s = Schedule::always(&wf, order).unwrap();
         let model = FaultModel::new(3e-3, 1.0);
         for spec in [TrialSpec::new(512, 5), TrialSpec::sequential(512, 5)] {
             let direct = run_trials(&wf, &s, model, spec);
-            let via_metric = trial_metric_stats(spec, |i| {
+            let (via_metric, _) = trial_metric_tail_stats(spec, |i| {
                 let mut inj = ExponentialInjector::new(model.lambda(), spec.trial_seed(i));
                 simulate(
                     &wf,
@@ -594,9 +577,9 @@ mod tests {
         assert_eq!(par.tail, seq.tail);
         assert_eq!(par.tail.p50().to_bits(), seq.tail.p50().to_bits());
         assert_eq!(par.tail.p99().to_bits(), seq.tail.p99().to_bits());
-        // And the knob round-trips through the builder.
+        // And the two constructors set the knob.
         assert!(TrialSpec::new(5, 1).parallel);
-        assert!(!TrialSpec::new(5, 1).with_parallel(false).parallel);
+        assert!(!TrialSpec::sequential(5, 1).parallel);
     }
 
     /// The sketch-extended thread-invariance guarantee, exercised

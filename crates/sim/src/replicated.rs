@@ -26,7 +26,7 @@
 //!
 //! # Blocking vs non-blocking
 //!
-//! [`simulate_replicated`] folds the winner's checkpoint write into its
+//! [`simulate_replicated_sets`] folds the winner's checkpoint write into its
 //! block (synchronous writes). [`simulate_replicated_nonblocking`] instead
 //! enqueues the write on a platform-wide FIFO (the shared stable-storage
 //! channel): while writes are in flight every replica computes at
@@ -62,8 +62,8 @@
 //! [`simulate_replicated_nonblocking_sets`],
 //! [`run_replicated_sets_trials_with`] and
 //! [`run_replicated_nonblocking_trials_with`]) run the engines. The degree
-//! entry points ([`simulate_replicated`],
-//! [`simulate_replicated_nonblocking`], [`run_replicated_trials_with`])
+//! entry points ([`simulate_replicated_nonblocking`],
+//! [`run_replicated_trials_with`])
 //! are adapters kept for existing callers: degree `d` becomes the
 //! fastest-first prefix set `[0, …, d−1]`, clamped to `[1, P]`, and the
 //! call goes to the `*_sets` twin. A degree of 0 therefore behaves exactly
@@ -166,21 +166,6 @@ fn prefix_sets(platform: &HeteroPlatform, degrees: &[usize]) -> Vec<Vec<usize>> 
         .iter()
         .map(|&d| (0..d.clamp(1, platform.n_procs())).collect())
         .collect()
-}
-
-/// [`simulate_replicated_sets`] with per-task replication `degrees`
-/// (indexed by task id) as fastest-first prefix sets — the degree adapter.
-/// `injectors[rank]` is processor rank `rank`'s fault source; at least
-/// `max(degrees)` injectors are required.
-pub fn simulate_replicated<I: FaultInjector>(
-    wf: &Workflow,
-    schedule: &Schedule,
-    platform: &HeteroPlatform,
-    degrees: &[usize],
-    injectors: &mut [I],
-) -> SimResult {
-    let sets = prefix_sets(platform, degrees);
-    simulate_replicated_sets(wf, schedule, platform, &sets, injectors)
 }
 
 /// Simulates `schedule` once on `platform` with explicit per-task replica
@@ -624,7 +609,6 @@ where
 mod tests {
     use super::*;
     use crate::montecarlo::run_trials_with;
-    use dagchkpt_core::evaluator::replicated::evaluate_replicated;
     use dagchkpt_core::{
         storage_scales, CostRule, ReplicatedEvaluator, ReplicationStrategy, TaskCosts,
     };
@@ -687,7 +671,13 @@ mod tests {
             SeqInjector::new(vec![3.0, 1.0, 100.0]),
             SeqInjector::new(vec![20.0, 2.0, 0.5]),
         ];
-        let r = simulate_replicated(&wf, &s, &platform, &[2, 2], &mut injectors);
+        let r = simulate_replicated_sets(
+            &wf,
+            &s,
+            &platform,
+            &prefix_sets(&platform, &[2, 2]),
+            &mut injectors,
+        );
         assert!((r.makespan - 24.0).abs() < 1e-12, "makespan {}", r.makespan);
         assert_eq!(r.n_faults, 1);
         assert!((r.time_work - 15.0).abs() < 1e-12); // 10 (rank 1) + 5 (rank 0)
@@ -742,7 +732,7 @@ mod tests {
             }
             .degrees(&wf, 2),
         ] {
-            let report = evaluate_replicated(&wf, &platform, &s, &degrees);
+            let report = ReplicatedEvaluator::from_degrees(&wf, &platform, &degrees).evaluate(&s);
             let stats = run_replicated_trials_with(
                 &wf,
                 &s,
@@ -787,7 +777,13 @@ mod tests {
                     ExponentialInjector::new(platform.procs()[rank].lambda, spec.proc_seed(i, rank))
                 })
                 .collect();
-            let blocking = simulate_replicated(&wf, &s, &platform, &[2; 5], &mut a);
+            let blocking = simulate_replicated_sets(
+                &wf,
+                &s,
+                &platform,
+                &prefix_sets(&platform, &[2; 5]),
+                &mut a,
+            );
             let nb = simulate_replicated_nonblocking(&wf, &s, &platform, &[2; 5], &mut b, 0.6);
             assert_eq!(nb.makespan.to_bits(), blocking.makespan.to_bits());
             assert_eq!(nb.n_faults, blocking.n_faults);
@@ -813,7 +809,13 @@ mod tests {
                     })
                     .collect()
             };
-            let blocking = simulate_replicated(&wf, &s, &platform, &[2; 4], &mut build());
+            let blocking = simulate_replicated_sets(
+                &wf,
+                &s,
+                &platform,
+                &prefix_sets(&platform, &[2; 4]),
+                &mut build(),
+            );
             let nb =
                 simulate_replicated_nonblocking(&wf, &s, &platform, &[2; 4], &mut build(), 0.5);
             assert_eq!(nb.makespan.to_bits(), blocking.makespan.to_bits());
@@ -831,7 +833,13 @@ mod tests {
         let mut injectors = vec![SeqInjector::new(vec![]), SeqInjector::new(vec![])];
         let nb = simulate_replicated_nonblocking(&wf, &s, &platform, &[2; 6], &mut injectors, 1.0);
         let mut injectors = vec![SeqInjector::new(vec![]), SeqInjector::new(vec![])];
-        let blocking = simulate_replicated(&wf, &s, &platform, &[2; 6], &mut injectors);
+        let blocking = simulate_replicated_sets(
+            &wf,
+            &s,
+            &platform,
+            &prefix_sets(&platform, &[2; 6]),
+            &mut injectors,
+        );
         // Fault-free: rank 0 (speed 2) always wins; blocking pays 6 writes
         // of 5 s, non-blocking hides all but nothing of the compute.
         assert!((blocking.makespan - (60.0 + 30.0)).abs() < 1e-12);
@@ -883,7 +891,7 @@ mod tests {
     }
 
     /// Prefix replica sets reproduce the degree API **bit for bit** across
-    /// both engines and the trial runner — the sim-side anchor that lets
+    /// the non-blocking engine and the trial runner — the sim-side anchor that lets
     /// per-task replica selection generalize the engines without touching
     /// any golden value.
     #[test]
@@ -902,10 +910,6 @@ mod tests {
         };
         let spec = TrialSpec::new(200, 17);
         for i in 0..spec.trials {
-            let a = simulate_replicated(&wf, &s, &platform, &degrees, &mut build(i, &spec));
-            let b = simulate_replicated_sets(&wf, &s, &platform, &sets, &mut build(i, &spec));
-            assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
-            assert_eq!(a.n_faults, b.n_faults);
             let a = simulate_replicated_nonblocking(
                 &wf,
                 &s,
@@ -999,8 +1003,20 @@ mod tests {
                 .collect()
         };
         for i in 0..spec.trials {
-            let a = simulate_replicated(&wf, &s, &platform, &[2; 9], &mut build(i));
-            let b = simulate_replicated(&scaled, &s, &platform, &[2; 9], &mut build(i));
+            let a = simulate_replicated_sets(
+                &wf,
+                &s,
+                &platform,
+                &prefix_sets(&platform, &[2; 9]),
+                &mut build(i),
+            );
+            let b = simulate_replicated_sets(
+                &scaled,
+                &s,
+                &platform,
+                &prefix_sets(&platform, &[2; 9]),
+                &mut build(i),
+            );
             assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
             assert_eq!(a.n_faults, b.n_faults);
             let a =
@@ -1140,7 +1156,13 @@ mod tests {
                 .collect()
         };
         for i in 0..spec.trials {
-            let reference = simulate_replicated(&wf, &s, &platform, &degrees, &mut build(i));
+            let reference = simulate_replicated_sets(
+                &wf,
+                &s,
+                &platform,
+                &prefix_sets(&platform, &degrees),
+                &mut build(i),
+            );
             let fast = simulate_replicated_planned(&plan, &platform, &sets, &mut build(i));
             assert_eq!(reference.makespan.to_bits(), fast.makespan.to_bits());
             assert_eq!(reference.n_faults, fast.n_faults);

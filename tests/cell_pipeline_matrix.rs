@@ -107,6 +107,20 @@ fn storages() -> [(&'static str, Option<StorageSelect>); 4] {
     ]
 }
 
+/// The platform arms: the degenerate single reference machine, two
+/// reference processors, and a heterogeneous spread.
+fn platforms() -> Vec<PlatformSpec> {
+    vec![
+        PlatformSpec::Uniform { count: 1 },
+        PlatformSpec::Uniform { count: 2 },
+        PlatformSpec::Spread {
+            count: 3,
+            speed_spread: 2.0,
+            rate_spread: 4.0,
+        },
+    ]
+}
+
 /// The spec of one optimizer × storage arm on the given platforms, with
 /// uniform degree-2 replication when there are platforms.
 fn arm_spec(
@@ -201,16 +215,7 @@ fn render() -> String {
     );
     for optimizer in OPTIMIZERS {
         for (storage_tag, select) in storages() {
-            let platforms = vec![
-                PlatformSpec::Uniform { count: 1 },
-                PlatformSpec::Uniform { count: 2 },
-                PlatformSpec::Spread {
-                    count: 3,
-                    speed_spread: 2.0,
-                    rate_spread: 4.0,
-                },
-            ];
-            let spec = arm_spec(&base, optimizer, storage_tag, select, platforms);
+            let spec = arm_spec(&base, optimizer, storage_tag, select, platforms());
             if spec.validate().is_err() {
                 continue;
             }
@@ -327,6 +332,36 @@ fn no_platform_arms_match_the_reference_machine() {
             let want = render_spec(&reference, &arm).replace(",0,p1,", ",0,,");
             assert!(!want.is_empty());
             assert_eq!(render_spec(&bare, &arm), want, "{arm}");
+        }
+    }
+}
+
+/// Closed-form strategies (Young, Daly) have no budget to sweep, so the
+/// `replication_aware` and `joint` optimizers leave them on the proxy
+/// path, priced on the cell's platform and replica sets: on every storage
+/// × platform arm they render exactly their proxy rows.
+#[test]
+fn closed_forms_under_every_optimizer_match_their_proxy_rows() {
+    let base = base();
+    for (storage_tag, select) in storages() {
+        let render_under = |optimizer: OptimizerSpec| {
+            let spec = ScenarioSpec {
+                strategies: vec![StrategySpec::Young, StrategySpec::Daly],
+                ..arm_spec(&base, optimizer, storage_tag, select.clone(), platforms())
+            };
+            spec.validate()
+                .unwrap_or_else(|e| panic!("{}/{storage_tag}: {e}", optimizer.label()));
+            render_spec(&spec, storage_tag)
+        };
+        let proxy = render_under(OptimizerSpec::Proxy);
+        assert!(proxy.contains("Young") && proxy.contains("Daly"));
+        for optimizer in [OptimizerSpec::ReplicationAware, OptimizerSpec::Joint] {
+            assert_eq!(
+                render_under(optimizer),
+                proxy,
+                "{}/{storage_tag}",
+                optimizer.label()
+            );
         }
     }
 }

@@ -248,20 +248,15 @@ fn degenerate_platform_reproduces_homogeneous_golden_csvs() {
 /// reproduce the storage-free fig2 golden CSVs byte for byte.
 #[test]
 fn unit_tier_storage_reproduces_homogeneous_golden_csvs() {
-    use dagchkpt_bench::{StorageSelect, StorageSpec, TierSpec};
+    use dagchkpt_bench::{StorageSelect, StorageSpec};
+    use dagchkpt_failure::StorageTier;
     let out = std::env::temp_dir().join("dagchkpt_golden_unit_tier");
     std::fs::remove_dir_all(&out).ok();
     let mut campaign = builtin("fig2", Scale::Quick, SEED).expect("builtin");
     for stage in &mut campaign.stages {
         if let Stage::Scenario { scenario, .. } = stage {
             scenario.storage = StorageSpec::Tiers {
-                tiers: vec![TierSpec {
-                    name: "unit".to_string(),
-                    write_bw: 1.0,
-                    read_bw: 1.0,
-                    compression: 1.0,
-                    contention: 0.0,
-                }],
+                tiers: vec![StorageTier::unit("unit")],
                 select: StorageSelect::Best,
             };
         }

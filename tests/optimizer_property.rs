@@ -5,8 +5,8 @@
 //! reference oracle is a unit property of `dagchkpt_core::strategies`.
 
 use dagchkpt::core::{
-    evaluate_replicated, optimize_joint, paper_heuristics, run_heuristic, run_heuristic_with,
-    ReplicatedEvaluator, ReplicationStrategy, SweepPolicy,
+    optimize_joint, paper_heuristics, run_heuristic, run_heuristic_with, ReplicatedEvaluator,
+    ReplicationStrategy, SweepPolicy,
 };
 use dagchkpt::dag::generators;
 use dagchkpt::prelude::*;
@@ -41,8 +41,8 @@ proptest! {
 
     /// For every one of the 14 paper heuristics on a seeded heterogeneous
     /// platform: sweeping the checkpoint budget directly against
-    /// `evaluate_replicated` (the replication-aware sweep) is never worse
-    /// — under `evaluate_replicated` — than sweeping under the
+    /// the replication-aware evaluator (the replication-aware sweep) is
+    /// never worse — under that evaluator — than sweeping under the
     /// single-machine proxy and re-scoring, because both enumerate the
     /// same candidate family and the aware sweep picks its argmin.
     #[test]
@@ -59,9 +59,8 @@ proptest! {
         let model = FaultModel::new(lambda, platform.downtime());
         for h in paper_heuristics(seed) {
             let proxy = run_heuristic(&wf, model, h, SweepPolicy::Exhaustive);
-            let proxy_rescored =
-                evaluate_replicated(&wf, &platform, &proxy.schedule, &degrees).expected_makespan;
             let obj = ReplicatedEvaluator::from_degrees(&wf, &platform, &degrees);
+            let proxy_rescored = obj.evaluate(&proxy.schedule).expected_makespan;
             let aware = run_heuristic_with(&wf, &obj, h, SweepPolicy::Exhaustive);
             prop_assert!(
                 aware.expected_makespan <= proxy_rescored + 1e-9 * proxy_rescored,

@@ -72,3 +72,38 @@ fn dag_spec_json_is_stable_for_fixture() {
     assert_eq!(parsed.n, 8);
     assert_eq!(parsed.edges.len(), 8);
 }
+
+/// The storage axis's tiers are `dagchkpt_failure::StorageTier` itself.
+/// Its serde form must keep the canonical JSON, and so the spec hash and
+/// the serve cache key, of every committed storage spec. The example's
+/// stages use `LegacyXorN` seeds, so its golden outputs alone would not
+/// notice a hash change.
+#[test]
+fn storage_tiers_example_canonical_json_and_hash_are_pinned() {
+    use dagchkpt_bench::{Campaign, Stage};
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("examples/campaigns/storage_tiers.json");
+    let campaign = Campaign::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let Stage::Scenario { scenario, .. } = &campaign.stages[0] else {
+        panic!("the first stage is a scenario");
+    };
+    assert_eq!(
+        scenario.to_json(),
+        r#"{"name":"storage_example_best","description":"per-strategy best uniform tier over the hierarchy","workflows":[{"RandomChain":{"min_weight":20.0,"max_weight":80.0,"rule":{"ProportionalToWork":{"ratio":0.3}},"default_lambda":0.0}}],"sizes":[10],"failures":[{"Exponential":{"lambda":0.004,"downtime":5.0}}],"strategies":["WorkAndCost",{"Heuristic":{"lin":"DepthFirst","ckpt":"Always"}},{"Heuristic":{"lin":"DepthFirst","ckpt":"ByDecreasingWork"}}],"simulators":["Analytic",{"MonteCarlo":{"trials":1000}}],"seed":42,"seed_policy":"LegacyXorN","sweep":"Exhaustive","platforms":[],"replications":[],"storage":{"Tiers":{"tiers":[{"name":"local","write_bw":4.0,"read_bw":0.5,"compression":1.0,"contention":0.0},{"name":"bb","write_bw":1.5,"read_bw":1.5,"compression":0.7,"contention":0.2},{"name":"pfs","write_bw":0.5,"read_bw":4.0,"compression":1.0,"contention":0.5}],"select":"Best"}}}"#
+    );
+    assert_eq!(scenario.stable_hash(), 0x3439_06cc_a5a7_7086);
+}
+
+/// A tier that omits `contention` parses with no contention.
+#[test]
+fn storage_tier_without_contention_parses_as_zero() {
+    let spec: dagchkpt_bench::StorageSpec = serde_json::from_str(
+        r#"{"Tiers":{"tiers":[{"name":"pfs","write_bw":0.5,"read_bw":4.0,"compression":1.0}]}}"#,
+    )
+    .unwrap();
+    let dagchkpt_bench::StorageSpec::Tiers { tiers, .. } = spec else {
+        panic!("a tier list parses as the Tiers arm");
+    };
+    assert_eq!(tiers.len(), 1);
+    assert_eq!(tiers[0].contention.to_bits(), 0.0f64.to_bits());
+}

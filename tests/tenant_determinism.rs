@@ -11,10 +11,10 @@ use dagchkpt_bench::campaign::{builtin, run_campaign, RunContext, Stage};
 use dagchkpt_bench::{
     run_cell_full, AdmissionPolicy, ArrivalSpec, Campaign, FailureSpec, ObjectiveSpec,
     OptimizerSpec, OutputSpec, Scale, ScenarioSpec, SeedPolicy, SimulatorSpec, StorageSelect,
-    StorageSpec, StrategySpec, SweepSpec, TenancySpec, TenantRow, TenantSpec, TierSpec,
-    WorkflowSource,
+    StorageSpec, StrategySpec, SweepSpec, TenancySpec, TenantRow, TenantSpec, WorkflowSource,
 };
 use dagchkpt_core::{CheckpointStrategy, CostRule, LinearizationStrategy};
+use dagchkpt_failure::StorageTier;
 use std::path::PathBuf;
 
 /// The corpus seed (same as `golden_campaigns.rs`).
@@ -239,7 +239,7 @@ fn storage_tiers_price_the_tenant_engine() {
     let tenants_with = |write_bw: f64| -> Vec<TenantRow> {
         let spec = ScenarioSpec {
             storage: StorageSpec::Tiers {
-                tiers: vec![TierSpec {
+                tiers: vec![StorageTier {
                     name: "t".to_string(),
                     write_bw,
                     read_bw: 1.0,
@@ -279,4 +279,53 @@ fn storage_tiers_price_the_tenant_engine() {
         }
     }
     assert!(checked > 0, "no CkptAlws tenant rows");
+}
+
+/// The tenant engine replays each strategy's chosen schedule, whichever
+/// optimizer chose it. Without `platforms` the `replication_aware` and
+/// `joint` optimizers fall back to the proxy, so the contended
+/// `multi_tenant` cell reproduces the proxy tenant rows byte for byte; on
+/// the builtin's `Uniform{2}` platform they run with finite metrics.
+#[test]
+fn non_proxy_optimizers_drive_the_tenant_engine() {
+    let campaign = builtin("multi_tenant", Scale::Quick, SEED).expect("builtin");
+    let Stage::Scenario { scenario, .. } = &campaign.stages[1] else {
+        panic!("multi_tenant stages are scenarios");
+    };
+    let tenants = |spec: &ScenarioSpec| -> Vec<TenantRow> {
+        let plans = spec.expand().expect("optimizers compose with arrivals");
+        run_cell_full(spec, &plans[0]).expect("cell runs").tenants
+    };
+    let bare = |optimizer: OptimizerSpec| ScenarioSpec {
+        platforms: Vec::new(),
+        optimizer,
+        ..scenario.clone()
+    };
+    let proxy = format!("{:?}", tenants(&bare(OptimizerSpec::Proxy)));
+    for optimizer in [OptimizerSpec::ReplicationAware, OptimizerSpec::Joint] {
+        assert_eq!(
+            format!("{:?}", tenants(&bare(optimizer))),
+            proxy,
+            "{}",
+            optimizer.label()
+        );
+        let rows = tenants(&ScenarioSpec {
+            optimizer,
+            ..scenario.clone()
+        });
+        assert!(!rows.is_empty());
+        for r in &rows {
+            assert!(r.jobs > 0, "{}: {r:?}", optimizer.label());
+            for v in [
+                r.slo_rate,
+                r.mean_response,
+                r.mean_slowdown,
+                r.p50_response,
+                r.p95_response,
+                r.p99_response,
+            ] {
+                assert!(v.is_finite(), "{}: {r:?}", optimizer.label());
+            }
+        }
+    }
 }
