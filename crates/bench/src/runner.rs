@@ -104,6 +104,55 @@ mod tests {
     }
 
     #[test]
+    fn run_cell_full_produces_one_row_per_paper_heuristic() {
+        use crate::exec::{cell_best_rows, run_cell_full};
+        use crate::scenario::{
+            ArrivalSpec, FailureSpec, ObjectiveSpec, OptimizerSpec, ScenarioSpec, SeedPolicy,
+            SimulatorSpec, StorageSpec, StrategySpec, SweepSpec, TenancySpec, WorkflowSource,
+        };
+        let spec = ScenarioSpec {
+            name: "paper-cell".to_string(),
+            description: String::new(),
+            workflows: vec![WorkflowSource::Pegasus {
+                kind: PegasusKind::Montage,
+                rule: CostRule::ProportionalToWork { ratio: 0.1 },
+            }],
+            sizes: vec![50],
+            failures: vec![FailureSpec::LambdaSweep {
+                lambdas: vec![1e-3],
+                downtime: 0.0,
+            }],
+            strategies: vec![StrategySpec::Paper],
+            simulators: vec![SimulatorSpec::Analytic],
+            seed: 1,
+            seed_policy: SeedPolicy::Master,
+            sweep: SweepSpec::Auto,
+            platforms: vec![],
+            replications: vec![],
+            optimizer: OptimizerSpec::Proxy,
+            objective: ObjectiveSpec::Mean,
+            arrivals: ArrivalSpec::Off,
+            tenancy: TenancySpec::default(),
+            storage: StorageSpec::default(),
+        };
+        let plans = spec.expand().unwrap();
+        assert_eq!(plans.len(), 1);
+        let rows = run_cell_full(&spec, &plans[0]).unwrap().rows;
+        assert_eq!(rows.len(), paper_heuristics(1).len());
+        for r in &rows {
+            assert_eq!(r.workflow, "Montage");
+            assert!(r.ratio >= 1.0, "{}: ratio {}", r.strategy, r.ratio);
+            assert!(r.ratio.is_finite());
+        }
+        // The figure reduction keeps one complete CSV row per strategy.
+        let best = cell_best_rows(&rows);
+        assert_eq!(best.len(), 6);
+        for b in &best {
+            assert_eq!(b.len(), Row::CSV_HEADER.len());
+        }
+    }
+
+    #[test]
     fn best_per_ckpt_strategy_covers_all_six() {
         let wf =
             PegasusKind::CyberShake.generate(50, CostRule::ProportionalToWork { ratio: 0.1 }, 2);
