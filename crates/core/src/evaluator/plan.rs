@@ -5,20 +5,21 @@
 //! [`super::assemble`] — same operations, same accumulation order — so
 //! every value is **bit-identical** to that reference oracle (pinned by
 //! the property tests below). Four exact savings make a checkpoint-budget
-//! sweep cheap:
+//! sweep cheap, and a bound makes it cheaper:
 //!
 //! * **First-visit resume.** Lost-set column `k` of `A = W + R` runs one
 //!   DFS per row `i ≥ k`, and a position's checkpoint flag (or recovery
 //!   cost) is read only when the DFS first reaches it. `LostSets` keeps,
 //!   per column, the row that first reached each position `j < k` under
-//!   the last evaluated flags (`seen`). When the positions `D` change, a
-//!   column `k` restarts at `i*`, the smallest row that reached any
-//!   `q ∈ D` with `q < k`: rows before `i*` never touched a changed
-//!   position, so their DFS, marks and sums are unchanged. Marks `≥ i*`
-//!   are cleared and rows `i*..=n` rerun. A column no changed position
-//!   was reached in is skipped outright. Ranked budgets are nested, so
-//!   consecutive candidates differ in one flag; `CkptPer` candidates and
-//!   the far jumps of a stolen sweep range follow the same rule.
+//!   the current flags (`seen`) and the last row it has computed (`done`).
+//!   When the positions `D` change, a column `k` restarts at `i*`, the
+//!   smallest row that reached any `q ∈ D` with `q < k`: rows before `i*`
+//!   never touched a changed position, so their DFS, marks and sums are
+//!   unchanged. Marks `≥ i*` are cleared and `done` drops to `i* − 1`. A
+//!   column no changed position was reached in keeps its rows. Ranked
+//!   budgets are nested, so consecutive candidates differ in one flag;
+//!   `CkptPer` candidates and the far jumps of a stolen sweep range follow
+//!   the same rule.
 //! * **Inactive rows.** [`EvalPlan`] stores each position's smallest
 //!   predecessor position. In column `k`, a row whose predecessors all
 //!   sit at `≥ k` has an empty lost set under any flags: its DFS is
@@ -37,15 +38,56 @@
 //!   original order. On Pegasus shapes the lost sets are mostly empty, so
 //!   only a few percent of `(i, k)` pairs need fresh transcendentals.
 //!
+//! # Row-major order and the early stop
+//!
+//! A candidate runs row by row: row `i` of every restarted lost-set column
+//! (each column still walks its rows in increasing order, so its marks
+//! mean what they did), then assembly row `i`. After each row the prefix
+//! `total[i]` is final, so [`EvalScratch::expected_makespan_within`] can
+//! stop a candidate that provably costs more than a `bound`. Every row
+//! obeys
+//!
+//! ```text
+//! E[X_i] = Σ_k P(Z^i_k) · e^{λ·rec_k} · (1/λ + D) · (e^{λ(A[i][k] + w_i + c_i f_i)} − 1)
+//!        ≥ (1/λ + D) · (e^{λ(w_i + c_i f_i)} − 1) =: floor_i
+//! ```
+//!
+//! because `rec_k ≥ 0` (so `e^{λ·rec_k} ≥ 1`), `A[i][k] ≥ 0`, and the
+//! `P(Z^i_k)` sum to 1 (property B). So the makespan is at least
+//! `total[i] + rem[i]`, with `rem[i] = Σ_{j > i} floor_j` (the floors are
+//! precomputed per position for flag off and on; `rem` is summed per
+//! candidate). The candidate stops at the first row where
+//! `(total[i] + rem[i]) · (1 − 10⁻⁹) > bound` and returns `+∞`.
+//!
+//! Why the margin covers rounding: every factor above is computed in the
+//! same monotone floating-point operations as the exact path: `rec` is
+//! clamped at 0, so `l1 = exp(λ·rec) ≥ 1` and `l1 · scale ≥ scale`
+//! exactly, and `a + w + c ≥ w + c` for `a ≥ 0`, so each computed
+//! `E[t]` is at least the computed `floor_i`. What is left is the
+//! relative error of row `i`'s `i`-term sum of products and the drift of
+//! property B in the stored `P(Z^i_k)` (about `(2i + 6)·ε` together),
+//! plus `n·ε` for each of the running sums `total` and `rem`. With
+//! `ε = 2⁻⁵³ ≈ 1.1·10⁻¹⁶` the slack is below `4(n + 2)·ε`, which stays
+//! under `10⁻⁹` for any `n` below a million positions. So a stopped
+//! candidate's exact value is `> bound`: it can never be the argmin, nor
+//! tie it. A candidate that is not stopped returns its exact bits,
+//! whatever `bound` was.
+//!
+//! A stopped candidate leaves a consistent prefix: assembly rows through
+//! the stop and each column's rows through its `done`. The next candidate
+//! resumes from the smaller of its first changed flag and the first
+//! unfinished row, so every value stays history-independent.
+//!
 //! Every matrix (`A`, `P(Z)`, and the first-visit marks) is stored
 //! lower-triangular, row `i` starting at `tri(i)`, so a scratch holds about
 //! `(n + 1)²` floats and half as many marks.
 //!
 //! The plan also serves the replication-aware scratch of
-//! [`super::replicated`], which runs the same `LostSets` DFS and resumes
-//! by the same rules.
+//! [`super::replicated`], which runs the same `LostSets` DFS row by row
+//! and resumes by the same rules (it takes no bound).
 //!
-//! After [`EvalScratch::new`], evaluating a candidate never allocates.
+//! After [`EvalScratch::new`], evaluating a candidate — stopped or not —
+//! never allocates.
 //!
 //! [`RecoveryMatrices::compute`]: super::recovery::RecoveryMatrices::compute
 
@@ -164,18 +206,23 @@ pub(super) fn tri(i: usize) -> usize {
 }
 
 /// The resumable lost-set DFS behind both compiled scratches: the
-/// first-visit marks of every column under the last computed flags (see
-/// the module docs).
+/// first-visit marks of every column under the current flags, and how far
+/// each column has got (see the module docs). Callers run it row-major:
+/// [`LostSets::restart`] once per change set, then [`LostSets::row`] for
+/// each row in increasing order.
 #[derive(Debug, Clone)]
 pub(super) struct LostSets {
     /// `seen[tri(k) + j]` for `1 ≤ j < k`: the row that first reached
-    /// position `j` in column `k` (0 = none). For rows after it, a marked
-    /// position is in memory; within its row, it is already counted.
+    /// position `j` in column `k` (0 = none), among rows `k..=done[k]`. For
+    /// rows after it, a marked position is in memory; within its row, it
+    /// is already counted.
     seen: Vec<u32>,
+    /// `done[k]`: column `k` holds rows `k..=done[k]` of the current flags
+    /// (`k − 1` when it holds none).
+    done: Vec<u32>,
+    /// The columns with `done[k] < n`, ascending.
+    open: Vec<u32>,
     stack: Vec<u32>,
-    /// Whether `seen` describes the last computed flags (false until the
-    /// first update).
-    warm: bool,
 }
 
 impl LostSets {
@@ -183,83 +230,109 @@ impl LostSets {
     pub(super) fn new(n: usize) -> Self {
         LostSets {
             seen: vec![0u32; tri(n + 1)],
+            done: (0..=n as u32).map(|k| k.saturating_sub(1)).collect(),
+            open: (1..=n as u32).collect(),
             stack: Vec::with_capacity(n + 1),
-            warm: false,
         }
     }
 
-    /// Brings the lost-set columns up to date with the checkpoint flags
-    /// `ckpt` and the recovery costs `r` (both 1-based), handing each
-    /// recomputed `(i, k, W^i_k, R^i_k)` to `store`; entries it does not
-    /// hand over are unchanged (inactive ones are 0). `changed` lists, in
-    /// ascending order, the positions whose flag or recovery cost changed
-    /// since the last update; the first update computes every column.
-    pub(super) fn update(
+    /// Forgets every row that read a position in `changed` (ascending: the
+    /// positions whose flag or recovery cost changed since the last
+    /// call). Each column `k` restarts at the first row that reached a
+    /// changed `q < k`, which lies after `q`; columns no changed position
+    /// was reached in keep their rows.
+    pub(super) fn restart(&mut self, changed: &[u32]) {
+        let Some(&first) = changed.first() else {
+            return;
+        };
+        let n = self.done.len() - 1;
+        for k in first as usize + 1..=n {
+            let seen = &mut self.seen[tri(k)..tri(k) + k];
+            // `i*`: the first row that read a changed position.
+            let start = changed
+                .iter()
+                .take_while(|&&q| (q as usize) < k)
+                .map(|&q| seen[q as usize])
+                .filter(|&row| row != 0)
+                .min();
+            let Some(start) = start else {
+                continue;
+            };
+            for m in seen.iter_mut() {
+                if *m >= start {
+                    *m = 0;
+                }
+            }
+            self.done[k] = start - 1;
+        }
+        self.open.clear();
+        self.open
+            .extend((1..=n as u32).filter(|&k| (self.done[k as usize] as usize) < n));
+    }
+
+    /// Computes row `i` of every column that lacks it under the checkpoint
+    /// flags `ckpt` and the recovery costs `r` (both 1-based), handing each
+    /// `(k, W^i_k, R^i_k)` to `store`; entries it does not hand over are
+    /// unchanged (inactive ones are 0). Every column must already hold the
+    /// rows before `i`.
+    pub(super) fn row(
         &mut self,
         plan: &EvalPlan,
         r: &[f64],
         ckpt: &[bool],
-        changed: &[u32],
-        mut store: impl FnMut(usize, usize, f64, f64),
+        i: usize,
+        mut store: impl FnMut(usize, f64, f64),
     ) {
-        let n = plan.n;
-        let cold = !std::mem::replace(&mut self.warm, true);
-        let k_from = match changed {
-            _ if cold => 1,
-            [] => return,
-            [first, ..] => *first as usize + 1,
-        };
-        let stack = &mut self.stack;
-        for k in k_from..=n {
-            let seen = &mut self.seen[tri(k)..tri(k) + k];
-            let start = if cold {
-                k
-            } else {
-                // `i*`: the first row that read a changed position.
-                let start = changed
-                    .iter()
-                    .take_while(|&&q| (q as usize) < k)
-                    .map(|&q| seen[q as usize])
-                    .filter(|&row| row != 0)
-                    .min();
-                let Some(start) = start else {
-                    continue;
-                };
-                for m in seen.iter_mut() {
-                    if *m >= start {
-                        *m = 0;
-                    }
-                }
-                start as usize
-            };
-            for i in start..=n {
-                if plan.first_pred[i] as usize >= k {
-                    continue;
-                }
-                let mut wi = 0.0f64;
-                let mut ri = 0.0f64;
-                stack.push(i as u32);
-                while let Some(t) = stack.pop() {
-                    for &j in plan.preds_of(t as usize) {
-                        let j = j as usize;
-                        // At or after the fault: in memory, never counted.
-                        if j >= k || seen[j] != 0 {
-                            continue;
-                        }
-                        seen[j] = i as u32;
-                        if ckpt[j] {
-                            ri += r[j];
-                        } else {
-                            wi += plan.w[j];
-                            stack.push(j as u32);
-                        }
-                    }
-                }
-                store(i, k, wi, ri);
+        let LostSets {
+            seen,
+            done,
+            open,
+            stack,
+        } = self;
+        for &k in open.iter() {
+            let k = k as usize;
+            if k > i {
+                break;
             }
+            if done[k] as usize >= i {
+                continue;
+            }
+            debug_assert_eq!(done[k] as usize, i - 1, "column {k} skipped a row");
+            done[k] = i as u32;
+            if plan.first_pred[i] as usize >= k {
+                continue;
+            }
+            let seen = &mut seen[tri(k)..tri(k) + k];
+            let mut wi = 0.0f64;
+            let mut ri = 0.0f64;
+            stack.push(i as u32);
+            while let Some(t) = stack.pop() {
+                for &j in plan.preds_of(t as usize) {
+                    let j = j as usize;
+                    // At or after the fault: in memory, never counted.
+                    if j >= k || seen[j] != 0 {
+                        continue;
+                    }
+                    seen[j] = i as u32;
+                    if ckpt[j] {
+                        ri += r[j];
+                    } else {
+                        wi += plan.w[j];
+                        stack.push(j as u32);
+                    }
+                }
+            }
+            store(k, wi, ri);
+        }
+        if i == plan.n {
+            open.clear();
         }
     }
 }
+
+/// Relative margin of the early stop (see the module docs for why it
+/// covers every rounding error).
+const STOP_MARGIN: f64 = 1e-9;
 
 /// Per-worker evaluation state for one [`EvalPlan`] under one fault
 /// model, holding the last evaluated candidate's matrices so the next
@@ -268,14 +341,12 @@ impl LostSets {
 pub struct EvalScratch<'p> {
     plan: &'p EvalPlan,
     model: FaultModel,
-    /// Whether the arrays below describe `ckpt` (false until the first
-    /// evaluation).
-    warm: bool,
-    /// Checkpoint flags of the last evaluated candidate, by 1-based
-    /// position.
+    /// Checkpoint flags of the current candidate, by 1-based position.
     ckpt: Vec<bool>,
     /// Positions whose flag the current candidate changed, ascending.
     changed: Vec<u32>,
+    /// Assembly rows `1..=assembled` describe `ckpt`.
+    assembled: usize,
     /// `a[tri(i) + k] = W^i_k + R^i_k` for `1 ≤ k ≤ i`; column 0 stays 0,
     /// which is the `k = 0` ("no fault yet") term of the assembly.
     a: Vec<f64>,
@@ -287,6 +358,11 @@ pub struct EvalScratch<'p> {
     /// accumulation order: entry `i` is the running value after row `i`.
     total: Vec<f64>,
     faults: Vec<f64>,
+    /// `floor[f][i]`: the lower bound on `E[X_i]` with position `i`'s flag
+    /// `f` (module docs).
+    floor: [Vec<f64>; 2],
+    /// `rem[i]`: the sum of the current candidate's floors after row `i`.
+    rem: Vec<f64>,
     lost: LostSets,
 }
 
@@ -301,17 +377,31 @@ impl<'p> EvalScratch<'p> {
             // Row 1: no fault can precede the first task.
             pz[tri(1)] = 1.0;
         }
+        // Unused (and not finite) in the fault-free model, which never
+        // stops early.
+        let lambda = model.lambda();
+        let scale = 1.0 / lambda + model.downtime();
+        let floor = [false, true].map(|on| {
+            (0..=n)
+                .map(|i| {
+                    let ci = if on { plan.c[i] } else { 0.0 };
+                    scale * (lambda * (plan.w[i] + ci)).exp_m1()
+                })
+                .collect()
+        });
         EvalScratch {
             plan,
             model,
-            warm: false,
             ckpt: vec![false; n + 1],
             changed: Vec::with_capacity(n),
+            assembled: 0,
             a: vec![0.0f64; tri(n + 1)],
             pz,
             ex: vec![0.0f64; n + 1],
             total: vec![0.0f64; n + 1],
             faults: vec![0.0f64; n + 1],
+            floor,
+            rem: vec![0.0f64; n + 1],
             lost: LostSets::new(n),
         }
     }
@@ -321,6 +411,15 @@ impl<'p> EvalScratch<'p> {
     /// [`super::evaluate`] on the same schedule, whatever was evaluated
     /// before.
     pub fn expected_makespan(&mut self, ckpt: &[bool]) -> f64 {
+        self.expected_makespan_within(ckpt, f64::INFINITY)
+    }
+
+    /// [`Self::expected_makespan`] for a caller that only needs values up
+    /// to `bound`: the exact bits when the candidate costs at most
+    /// `bound`; otherwise either the exact bits or `+∞`, once the rows
+    /// evaluated so far prove the cost exceeds `bound` (module docs). A
+    /// stopped candidate leaves the scratch ready for any next one.
+    pub fn expected_makespan_within(&mut self, ckpt: &[bool], bound: f64) -> f64 {
         let n = self.plan.n;
         assert_eq!(ckpt.len(), n, "one flag per position");
         self.changed.clear();
@@ -330,36 +429,47 @@ impl<'p> EvalScratch<'p> {
                 self.changed.push(i as u32 + 1);
             }
         }
-        let p = match (self.warm, self.changed.first()) {
-            (true, None) => return self.total[n],
-            (true, Some(&p)) => p as usize,
-            (false, _) => 1,
-        };
-        if n == 0 {
-            // Nothing to run: the makespan is 0 (total[0]).
-        } else if self.model.lambda() == 0.0 {
+        if let Some(&p) = self.changed.first() {
+            self.assembled = self.assembled.min(p as usize - 1);
+        }
+        if self.assembled == n {
+            return self.total[n];
+        }
+        if self.model.lambda() == 0.0 {
             self.fault_free();
-        } else {
-            let a = &mut self.a;
-            self.lost.update(
-                self.plan,
-                &self.plan.r,
-                &self.ckpt,
-                &self.changed,
-                |i, k, wi, ri| a[tri(i) + k] = wi + ri,
-            );
-            for i in p..=n {
-                self.assemble_row(i);
+            self.assembled = n;
+            return self.total[n];
+        }
+        self.lost.restart(&self.changed);
+        let from = self.assembled + 1;
+        // `NaN` compares false: no bound.
+        let bounded = bound < f64::INFINITY;
+        if bounded {
+            self.rem[n] = 0.0;
+            for i in (from..=n).rev() {
+                self.rem[i - 1] = self.rem[i] + self.floor[usize::from(self.ckpt[i])][i];
             }
         }
-        self.warm = true;
+        for i in from..=n {
+            if bounded && (self.total[i - 1] + self.rem[i - 1]) * (1.0 - STOP_MARGIN) > bound {
+                self.assembled = i - 1;
+                return f64::INFINITY;
+            }
+            let a = &mut self.a[tri(i)..=tri(i) + i];
+            self.lost
+                .row(self.plan, &self.plan.r, &self.ckpt, i, |k, wi, ri| {
+                    a[k] = wi + ri
+                });
+            self.assemble_row(i);
+        }
+        self.assembled = n;
         self.total[n]
     }
 
     /// The full report of the last evaluated candidate (per-position
     /// breakdown and expected fault count).
     pub fn report(&self) -> EvalReport {
-        assert!(self.warm || self.plan.n == 0, "no candidate evaluated yet");
+        assert_eq!(self.assembled, self.plan.n, "no candidate evaluated yet");
         report_of(&self.ex, &self.total, &self.faults)
     }
 
@@ -452,7 +562,7 @@ mod tests {
     use dagchkpt_dag::{generators, topo};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// The reference oracle: dense matrices, then the shared assembly.
     fn oracle(wf: &Workflow, model: FaultModel, s: &Schedule) -> EvalReport {
@@ -492,6 +602,69 @@ mod tests {
         }
     }
 
+    /// Interleaves bounded and unbounded calls over `wf`'s candidate
+    /// sequences: a bounded call returns the oracle's bits whenever the
+    /// oracle is at most the bound and a value above the bound otherwise,
+    /// and an unbounded call — on the same flags or the next candidate,
+    /// right after an early stop or not — returns the oracle's bits and
+    /// report. Returns how many calls stopped early.
+    fn check_bounded(wf: &Workflow, order: &[NodeId], model: FaultModel, seed: u64) -> usize {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xb0d);
+        let plan = EvalPlan::new(wf, order);
+        let mut scratch = EvalScratch::new(&plan, model);
+        let mut stops = 0;
+        for (step, flags) in sequences(&mut rng, wf, order).iter().enumerate() {
+            let want = oracle(wf, model, &plan.schedule(flags));
+            let exact = want.expected_makespan;
+            let bound = match rng.gen_range(0..7) {
+                0 => exact,
+                1 => exact * rng.gen_range(0.0..1.0),
+                2 => exact * (1.0 - 1e-12),
+                3 => exact * rng.gen_range(1.0..2.0),
+                4 => 0.0,
+                5 => f64::NAN,
+                _ => f64::INFINITY,
+            };
+            let got = scratch.expected_makespan_within(flags, bound);
+            let what = format!("step {step}, bound {bound}, exact {exact}");
+            if exact <= bound || bound.is_nan() {
+                assert_eq!(got.to_bits(), exact.to_bits(), "{what}");
+            } else if got.to_bits() != exact.to_bits() {
+                assert!(got > bound, "{what}: got {got}");
+                stops += 1;
+            }
+            if rng.gen_bool(0.5) {
+                let again = scratch.expected_makespan(flags);
+                assert_eq!(
+                    again.to_bits(),
+                    exact.to_bits(),
+                    "{what}: repeated unbounded"
+                );
+                assert_bitwise(&scratch.report(), &want, &what);
+            }
+        }
+        stops
+    }
+
+    #[test]
+    fn bounded_calls_match_the_oracle_and_stop_early() {
+        let dag = generators::fork_join(12);
+        let n = dag.n_nodes();
+        let weights: Vec<f64> = (0..n).map(|i| 5.0 + (i % 4) as f64 * 9.0).collect();
+        let wf =
+            Workflow::with_cost_rule(dag, weights, CostRule::ProportionalToWork { ratio: 0.2 });
+        let order = topo::topological_order(wf.dag());
+        let stops = check_bounded(&wf, &order, FaultModel::new(3e-3, 1.0), 1);
+        assert!(stops > 0, "no candidate stopped early");
+        // Fault-free: every call is exact, so nothing stops.
+        assert_eq!(check_bounded(&wf, &order, FaultModel::fault_free(), 2), 0);
+        // The empty workflow costs 0 under any bound.
+        let empty = Workflow::uniform(generators::chain(0), 7.0, 0.5);
+        let plan = EvalPlan::new(&empty, &[]);
+        let mut scratch = EvalScratch::new(&plan, FaultModel::new(1e-2, 1.0));
+        assert_eq!(scratch.expected_makespan_within(&[], -1.0).to_bits(), 0);
+    }
+
     #[test]
     fn empty_and_single_task_workflows() {
         for n in [0usize, 1] {
@@ -525,6 +698,20 @@ mod tests {
                 FaultModel::new(lambda, downtime)
             };
             check_sequences(&wf, &order, model, seed);
+        }
+
+        #[test]
+        fn bounded_scratch_equals_the_oracle_bitwise(
+            seed in 0u64..10_000, n in 1usize..40, lambda in 0.0f64..0.02,
+            downtime in 0.0f64..3.0, fault_free in 0u8..4,
+        ) {
+            let (wf, order) = random_instance(seed, n);
+            let model = if fault_free == 0 {
+                FaultModel::fault_free()
+            } else {
+                FaultModel::new(lambda, downtime)
+            };
+            check_bounded(&wf, &order, model, seed);
         }
     }
 }

@@ -529,23 +529,23 @@ impl ReplicatedScratch {
             }
         }
         if self.asm_from <= n {
-            // A stats row goes stale from the first lost-set entry the
-            // update rewrites.
             self.changed.sort_unstable();
-            let (w_mat, r_mat, stats_from) =
-                (&mut self.w_mat, &mut self.r_mat, &mut self.stats_from);
-            self.lost
-                .update(plan, &self.r, &self.ckpt, &self.changed, |i, k, wi, ri| {
-                    w_mat[tri(i) + k] = wi;
-                    r_mat[tri(i) + k] = ri;
-                    stats_from[i] = stats_from[i].min(k);
-                });
+            self.lost.restart(&self.changed);
             for &p in &self.changed {
                 self.pending[p as usize] = false;
             }
             self.changed.clear();
             let downtime = pricing.platform.downtime();
             for i in self.asm_from..=n {
+                // A stats row goes stale from the first lost-set entry
+                // the row rewrites.
+                let (w_mat, r_mat, from) =
+                    (&mut self.w_mat, &mut self.r_mat, &mut self.stats_from[i]);
+                self.lost.row(plan, &self.r, &self.ckpt, i, |k, wi, ri| {
+                    w_mat[tri(i) + k] = wi;
+                    r_mat[tri(i) + k] = ri;
+                    *from = (*from).min(k);
+                });
                 if self.stats_from[i] != CLEAN {
                     self.stats_row(plan, pricing, i);
                 }
@@ -825,10 +825,13 @@ impl<'a> ReplicatedEvaluator<'a> {
             // Unit tiers leave the recovery costs bit-identical to the
             // plan's, so the homogeneous scratch is the delegation.
             let mut scratch = EvalScratch::new(plan, pricing.platform.fault_model());
-            return Box::new(move |flags: &[bool]| scratch.expected_makespan(flags));
+            return Box::new(move |flags: &[bool], bound: f64| {
+                scratch.expected_makespan_within(flags, bound)
+            });
         }
+        // The replicated scratch takes no bound: every value is exact.
         let mut scratch = ReplicatedScratch::new(plan, pricing);
-        Box::new(move |flags: &[bool]| scratch.expected_makespan(plan, pricing, flags))
+        Box::new(move |flags: &[bool], _bound: f64| scratch.expected_makespan(plan, pricing, flags))
     }
 }
 
@@ -1605,7 +1608,7 @@ mod tests {
             .collect();
         let mut worker = ev.compiled_evaluator(&plan);
         for (step, (flags, want)) in seqs.iter().zip(&want).enumerate() {
-            let e = worker(flags);
+            let e = worker(flags, f64::INFINITY);
             assert_eq!(e.to_bits(), want.expected_makespan.to_bits(), "step {step}");
         }
         drop(worker);

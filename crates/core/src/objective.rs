@@ -20,9 +20,11 @@
 //!
 //! A budget sweep asks the backend for one candidate evaluator per worker
 //! run ([`Objective::flag_evaluator`]). The two analytic backends return a
-//! compiled scratch that resumes each candidate from the previous one;
-//! every other backend gets the default, which builds each candidate's
-//! [`Schedule`] and calls [`Objective::cost`].
+//! compiled scratch that resumes each candidate from the previous one,
+//! and the homogeneous one also stops a candidate once it provably costs
+//! more than the best found so far; every other backend gets the default,
+//! which builds each candidate's [`Schedule`] and calls
+//! [`Objective::cost`].
 
 use crate::evaluator::replicated::ReplicatedEvaluator;
 use crate::evaluator::{self, EvalPlan, EvalScratch};
@@ -77,8 +79,10 @@ impl CostSummary {
 }
 
 /// A candidate evaluator for one sweep worker: checkpoint flags by 0-based
-/// schedule position in, cost out ([`Objective::flag_evaluator`]).
-pub type FlagEvaluator<'s> = Box<dyn FnMut(&[bool]) -> f64 + 's>;
+/// schedule position and a bound in, cost out
+/// ([`Objective::flag_evaluator`]). `Send` because the sweep builds each
+/// worker's evaluator on the calling thread and hands it over.
+pub type FlagEvaluator<'s> = Box<dyn FnMut(&[bool], f64) -> f64 + Send + 's>;
 
 /// A deterministic scalar cost over schedules — lower is better. `Sync`
 /// because sweeps evaluate candidate schedules in parallel.
@@ -110,16 +114,20 @@ pub trait Objective: Sync {
     }
 
     /// A candidate evaluator for one sweep worker on the linearization
-    /// `plan` was compiled for: it maps checkpoint flags (by 0-based
-    /// schedule position) to [`cost`] of that schedule, bit for bit,
-    /// whatever it evaluated before. The default builds each candidate's
-    /// [`Schedule`] and calls [`cost`]; compiled backends return a scratch
-    /// that resumes from the previous candidate. `plan` must be compiled
-    /// from the workflow this objective prices.
+    /// `plan` was compiled for. Called with checkpoint flags (by 0-based
+    /// schedule position) and a `bound`, it returns [`cost`] of that
+    /// schedule bit for bit whenever that cost is at most `bound`,
+    /// whatever it evaluated before. A candidate that costs more may
+    /// instead get any value above `bound`: the sweep passes the best
+    /// cost found so far, so such a candidate loses either way. The
+    /// default builds each candidate's [`Schedule`], calls [`cost`] and
+    /// ignores the bound; the homogeneous scratch stops a candidate once
+    /// it provably exceeds the bound and returns `+∞`. `plan` must be
+    /// compiled from the workflow this objective prices.
     ///
     /// [`cost`]: Objective::cost
     fn flag_evaluator<'s>(&'s self, plan: &'s EvalPlan) -> FlagEvaluator<'s> {
-        Box::new(move |flags: &[bool]| self.cost(&plan.schedule(flags)))
+        Box::new(move |flags: &[bool], _bound: f64| self.cost(&plan.schedule(flags)))
     }
 }
 
@@ -148,7 +156,7 @@ impl Objective for ProxyObjective<'_> {
 
     fn flag_evaluator<'s>(&'s self, plan: &'s EvalPlan) -> FlagEvaluator<'s> {
         let mut scratch = EvalScratch::new(plan, self.model);
-        Box::new(move |flags: &[bool]| scratch.expected_makespan(flags))
+        Box::new(move |flags: &[bool], bound: f64| scratch.expected_makespan_within(flags, bound))
     }
 }
 

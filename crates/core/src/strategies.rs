@@ -47,6 +47,7 @@ use dagchkpt_dag::{FixedBitSet, NodeId};
 use dagchkpt_failure::{FaultModel, HeteroPlatform, StorageHierarchy};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Which tasks to checkpoint.
@@ -332,17 +333,19 @@ pub fn local_search(
 /// Argmin combiner shared by [`sweep_with_cost`] and [`local_search`]
 /// candidates `(index, expected makespan)`: lower makespan wins, ties
 /// toward the smaller index (matching the pre-chunked `min_by`/sort
-/// behavior). Associative with a deterministic result for any grouping,
-/// so chunked fold/reduce chains are stable.
+/// behavior), and a `NaN` cost ranks after every number. A total order,
+/// so the result is the same for any grouping and any walk order, and
+/// chunked fold/reduce chains are stable.
 fn better_candidate(a: Option<(usize, f64)>, b: Option<(usize, f64)>) -> Option<(usize, f64)> {
     match (a, b) {
         (None, x) | (x, None) => x,
         (Some(a), Some(b)) => {
-            if b.1 < a.1 || (b.1 == a.1 && b.0 < a.0) {
-                Some(b)
-            } else {
-                Some(a)
-            }
+            let b_wins = match (a.1.is_nan(), b.1.is_nan()) {
+                (false, false) => b.1 < a.1 || (b.1 == a.1 && b.0 < a.0),
+                (true, true) => b.0 < a.0,
+                (a_nan, _) => a_nan,
+            };
+            Some(if b_wins { b } else { a })
         }
     }
 }
@@ -474,7 +477,7 @@ pub fn optimize_checkpoints_quantile<O: Objective + ?Sized>(
 ) -> OptimizedSchedule {
     let plan = EvalPlan::new(wf, order);
     optimize_with_cost(wf, &plan, strategy, policy, || {
-        |flags: &[bool]| {
+        |flags: &[bool], _bound: f64| {
             let c = obj.cost_quantile(&plan.schedule(flags), q);
             if c.is_nan() {
                 f64::INFINITY
@@ -487,8 +490,9 @@ pub fn optimize_checkpoints_quantile<O: Objective + ?Sized>(
 
 /// The strategy dispatch behind every optimizer. `evaluator` creates one
 /// candidate evaluator per worker run; each evaluator maps checkpoint
-/// flags (by schedule position) to the scalar the sweep minimizes (mean
-/// cost, quantile cost, …).
+/// flags (by schedule position) and a bound to the scalar the sweep
+/// minimizes (mean cost, quantile cost, …), under the contract of
+/// [`Objective::flag_evaluator`].
 fn optimize_with_cost<F, E>(
     wf: &Workflow,
     plan: &EvalPlan,
@@ -497,11 +501,11 @@ fn optimize_with_cost<F, E>(
     evaluator: F,
 ) -> OptimizedSchedule
 where
-    F: Fn() -> E + Sync,
-    E: FnMut(&[bool]) -> f64,
+    F: Fn() -> E,
+    E: FnMut(&[bool], f64) -> f64 + Send,
 {
     let fixed = |flags: Vec<bool>| OptimizedSchedule {
-        expected_makespan: evaluator()(&flags),
+        expected_makespan: evaluator()(&flags, f64::INFINITY),
         schedule: plan.schedule(&flags),
         best_n: None,
         evaluated: 1,
@@ -579,19 +583,27 @@ impl RangeTable {
 
 /// Sweeps candidate budgets in parallel; ties broken toward smaller `N`.
 ///
-/// The candidate list is split into one contiguous range per worker, and
-/// each worker consumes its range from the front; a worker whose range
-/// runs dry steals the upper half of the largest remaining one
-/// ([`RangeTable`]), so no core idles while candidates remain. Each
-/// worker creates one evaluator and one flag vector on its first
-/// candidate, and `set_for` rewrites the flags in place for each budget,
-/// so consecutive candidates of a worker differ in few flags (exactly one
-/// for nested ranked budgets, a jump at the start of a stolen range) —
-/// which is what lets a compiled scratch resume. Every value is
-/// independent of the evaluator's history and [`better_candidate`] is
-/// independent of the grouping, so neither the thread count nor the
-/// steals change the result. Only the winner is materialized as a
-/// [`Schedule`].
+/// Budgets are walked from the largest down (coarse and refine passes of
+/// `Strided` alike): the argmin usually sits near the top, so a good
+/// bound is found first. The candidate list is split into one contiguous
+/// range per worker, and each worker consumes its range from the front; a
+/// worker whose range runs dry steals the upper half of the largest
+/// remaining one ([`RangeTable`]), so no core idles while candidates
+/// remain. Each worker's evaluator and flag vector are built on the
+/// calling thread, so their buffers come from its allocator arena, and
+/// `set_for` rewrites the flags in place for each budget, so consecutive
+/// candidates of a worker differ in few flags (exactly one for nested
+/// ranked budgets, a jump at the start of a stolen range) — which is what
+/// lets a compiled scratch resume.
+///
+/// The workers share the best cost found so far through one atomic and
+/// pass it to every evaluation as its bound; an evaluator may stop a
+/// candidate that provably costs more ([`Objective::flag_evaluator`]).
+/// Such a candidate loses to the value that set the bound either way, and
+/// every other value is exact and independent of the evaluator's history;
+/// [`better_candidate`] is a total order. So neither the thread count,
+/// the steals nor the bounds change the winner, its value or `evaluated`.
+/// Only the winner is materialized as a [`Schedule`].
 fn sweep_with_cost<F, E>(
     plan: &EvalPlan,
     policy: SweepPolicy,
@@ -599,24 +611,36 @@ fn sweep_with_cost<F, E>(
     set_for: &(impl Fn(usize, &mut [bool]) + Sync),
 ) -> OptimizedSchedule
 where
-    F: Fn() -> E + Sync,
-    E: FnMut(&[bool]) -> f64,
+    F: Fn() -> E,
+    E: FnMut(&[bool], f64) -> f64 + Send,
 {
     let n = plan.n();
 
-    let best_of = |candidates: &[usize]| -> Option<(usize, f64)> {
-        let workers = rayon::current_num_threads().clamp(1, candidates.len().max(1));
+    // The argmin over `candidates`, whose costs can only win if they are
+    // at most `bound`.
+    let best_of = |candidates: &[usize], bound: f64| -> Option<(usize, f64)> {
+        if candidates.is_empty() {
+            return None;
+        }
+        let workers = rayon::current_num_threads().clamp(1, candidates.len());
         let table = RangeTable::new(candidates.len(), workers);
-        let bests: Vec<_> = (0..workers)
+        let bound = AtomicU64::new(bound.to_bits());
+        let states: Vec<_> = (0..workers)
+            .map(|w| (w, evaluator(), vec![false; n]))
+            .collect();
+        let bests: Vec<_> = states
             .into_par_iter()
-            .map(|w| {
-                let mut state = None;
+            .map(|(w, mut eval, mut flags)| {
                 let mut best = None;
                 while let Some(idx) = table.claim(w) {
                     let n_ckpt = candidates[idx];
-                    let (eval, flags) = state.get_or_insert_with(|| (evaluator(), vec![false; n]));
-                    set_for(n_ckpt, flags);
-                    best = better_candidate(best, Some((n_ckpt, eval(flags))));
+                    set_for(n_ckpt, &mut flags);
+                    let e = eval(&flags, f64::from_bits(bound.load(Ordering::Relaxed)));
+                    // Lower the shared bound (a `NaN` never does).
+                    let _ = bound.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                        (e < f64::from_bits(cur)).then_some(e.to_bits())
+                    });
+                    best = better_candidate(best, Some((n_ckpt, e)));
                 }
                 best
             })
@@ -625,37 +649,35 @@ where
     };
 
     let candidates: Vec<usize> = match policy {
-        SweepPolicy::Exhaustive => (0..=n).collect(),
+        SweepPolicy::Exhaustive => (0..=n).rev().collect(),
         SweepPolicy::Strided { stride } => {
             let stride = stride.max(1);
             let mut c: Vec<usize> = (0..=n).step_by(stride).collect();
             if c.last() != Some(&n) {
                 c.push(n);
             }
+            c.reverse();
             c
         }
     };
 
     let mut evaluated = candidates.len();
-    let (mut best_n, mut best_e) = best_of(&candidates).expect("at least one candidate");
+    let mut best = best_of(&candidates, f64::INFINITY).expect("at least one candidate");
 
     // Local refinement around the coarse winner for strided sweeps.
     if let SweepPolicy::Strided { stride } = policy {
         let stride = stride.max(1);
         if stride > 1 {
+            let (best_n, best_e) = best;
             let lo = best_n.saturating_sub(stride - 1);
             let hi = (best_n + stride - 1).min(n);
-            let refine: Vec<usize> = (lo..=hi).filter(|&k| k != best_n).collect();
+            let refine: Vec<usize> = (lo..=hi).rev().filter(|&k| k != best_n).collect();
             evaluated += refine.len();
-            if let Some((k, e)) = best_of(&refine) {
-                if e < best_e || (e == best_e && k < best_n) {
-                    best_n = k;
-                    best_e = e;
-                }
-            }
+            best = better_candidate(Some(best), best_of(&refine, best_e)).expect("coarse winner");
         }
     }
 
+    let (best_n, best_e) = best;
     let mut flags = vec![false; n];
     set_for(best_n, &mut flags);
     OptimizedSchedule {
@@ -1365,6 +1387,38 @@ mod tests {
             handed.iter().all(|&h| h == 1),
             "{len} over {workers}: {handed:?}"
         );
+    }
+
+    /// A `NaN` cost ranks after every number, `+∞` included, and equal
+    /// costs (two `NaN`s too) tie toward the smaller index, so the fold
+    /// gives the same winner in any order.
+    #[test]
+    fn better_candidate_ranks_nan_last_in_any_order() {
+        let cands = [
+            (4, f64::NAN),
+            (3, 7.0),
+            (9, f64::INFINITY),
+            (1, f64::NAN),
+            (6, 7.0),
+            (2, 8.5),
+        ];
+        let fold = |order: &[usize]| {
+            order
+                .iter()
+                .fold(None, |best, &i| better_candidate(best, Some(cands[i])))
+        };
+        let mut order: Vec<usize> = (0..cands.len()).collect();
+        let mut rng = SmallRng::seed_from_u64(0x0a0);
+        for _ in 0..50 {
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            assert_eq!(fold(&order), Some((3, 7.0)), "{order:?}");
+        }
+        let nan_first = better_candidate(Some((0, f64::NAN)), Some((5, f64::INFINITY)));
+        assert_eq!(nan_first, Some((5, f64::INFINITY)));
+        let nans = better_candidate(Some((4, f64::NAN)), Some((1, f64::NAN))).unwrap();
+        assert!(nans.0 == 1 && nans.1.is_nan());
     }
 
     #[test]

@@ -177,10 +177,10 @@ fn replicated_candidates_and_moves_make_zero_allocations_after_warm_up() {
 
     // One sweep worker's candidates.
     let mut eval = ev.flag_evaluator(&plan);
-    let mut sink = eval(&seqs[0]);
+    let mut sink = eval(&seqs[0], f64::INFINITY);
     let before = alloc_count();
     for flags in &seqs {
-        sink += eval(flags);
+        sink += eval(flags, f64::INFINITY);
     }
     let allocs = alloc_count() - before;
     drop(eval);

@@ -238,8 +238,8 @@ fn replicated_optimizers_are_identical_for_any_thread_count() {
 /// The proxy objective, slowed down the fewer checkpoints a candidate
 /// has: the workers holding the small budgets fall behind, so the others
 /// run dry early and steal from them. Each worker's evaluator counts the
-/// candidates that do not follow its previous one by exactly one
-/// checkpoint — on a nested exhaustive sweep, the starts of stolen ranges.
+/// candidates whose checkpoint count is not one away from its previous
+/// one's — on a nested exhaustive sweep, the starts of stolen ranges.
 struct SlowSmallBudgets<'a> {
     proxy: ProxyObjective<'a>,
     n: usize,
@@ -259,9 +259,9 @@ impl Objective for SlowSmallBudgets<'_> {
 
     fn flag_evaluator<'s>(&'s self, plan: &'s EvalPlan) -> FlagEvaluator<'s> {
         let mut prev: Option<usize> = None;
-        Box::new(move |flags: &[bool]| {
+        Box::new(move |flags: &[bool], _bound: f64| {
             let k = flags.iter().filter(|&&f| f).count();
-            if prev.is_some_and(|p| k != p + 1) {
+            if prev.is_some_and(|p| k.abs_diff(p) != 1) {
                 self.jumps.fetch_add(1, Ordering::Relaxed);
             }
             prev = Some(k);

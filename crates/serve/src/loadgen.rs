@@ -22,7 +22,7 @@ use dagchkpt_core::CostRule;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A client-side transport failure, typed so callers can tell a dead or
 /// stalled server ([`ClientError::Timeout`], [`ClientError::Disconnected`])
@@ -161,8 +161,6 @@ impl Client {
 pub struct ReplayReport {
     /// Cell requests issued.
     pub requests: usize,
-    /// Per-request latencies (milliseconds).
-    pub latencies_ms: Vec<f64>,
     /// Answers served from the daemon's cache.
     pub cached: usize,
     /// CSV files written (relative names, in stage order).
@@ -183,7 +181,6 @@ pub fn replay_campaign(
         .map_err(|e| format!("connect {addr}: {e}"))?;
     let mut report = ReplayReport {
         requests: 0,
-        latencies_ms: Vec::new(),
         cached: 0,
         files: Vec::new(),
     };
@@ -203,15 +200,11 @@ pub fn replay_campaign(
             .map_err(|e| format!("stage {}: {e}", output.file))?;
         let mut writer: Option<CsvWriter> = None;
         for i in 0..plans.len() {
-            let started = Instant::now();
             let resp = client.call(&Request::Cell {
                 spec: scenario.clone(),
                 cell: i,
                 format: output.format,
             })?;
-            report
-                .latencies_ms
-                .push(started.elapsed().as_secs_f64() * 1e3);
             report.requests += 1;
             let Response::Cell {
                 header,
