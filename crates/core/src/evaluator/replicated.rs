@@ -81,8 +81,8 @@
 //! property A and the sorted-order `(q, M)` of the assembly — the
 //! `P(Z^i_k)` rows, and prefix totals and fault counts. The lost-set
 //! columns come from the one first-visit-resumable DFS both scratches
-//! share ([`super::plan`]). Each change recomputes only what depends on
-//! it:
+//! share ([`super::plan`]), run row by row ahead of each stats and
+//! assembly row. Each change recomputes only what depends on it:
 //!
 //! | change at position `p`   | recompute                                                                                    |
 //! |--------------------------|----------------------------------------------------------------------------------------------|
