@@ -63,7 +63,8 @@
 //! same monotone floating-point operations as the exact path: `rec` is
 //! clamped at 0, so `l1 = exp(λ·rec) ≥ 1` and `l1 · scale ≥ scale`
 //! exactly, and `a + w + c ≥ w + c` for `a ≥ 0`, so each computed
-//! `E[t]` is at least the computed `floor_i`. What is left is the
+//! `E[t]` is at least the computed `floor_i` (up to `expm1`'s own
+//! ulp-level error, also covered below). What is left is the
 //! relative error of row `i`'s `i`-term sum of products and the drift of
 //! property B in the stored `P(Z^i_k)` (about `(2i + 6)·ε` together),
 //! plus `n·ε` for each of the running sums `total` and `rem`. With
