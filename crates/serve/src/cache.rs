@@ -55,17 +55,18 @@ impl CellAnswer {
 }
 
 /// A cached answer: the JSON payload of its hit frame, byte-identical to
-/// serializing `answer.to_response(true)`, stored LZ-packed.
-#[derive(Debug)]
+/// serializing `answer.to_response(true)`, stored LZ-packed in one shared
+/// allocation (a clone is a reference count, not a copy).
+#[derive(Debug, Clone)]
 pub struct HitFrame {
-    packed: Box<[u8]>,
+    packed: Arc<[u8]>,
 }
 
 impl HitFrame {
     fn new(answer: &CellAnswer) -> Self {
         let payload = serde_json::to_string(&answer.to_response(true)).expect("answer serializes");
         HitFrame {
-            packed: lz::pack(payload.as_bytes()).into_boxed_slice(),
+            packed: lz::pack(payload.as_bytes()).into(),
         }
     }
 
@@ -74,6 +75,12 @@ impl HitFrame {
     pub fn write_to<W: Write>(&self, w: &mut W, buf: &mut Vec<u8>) -> io::Result<()> {
         lz::unpack_into(&self.packed, buf);
         write_frame(w, buf)
+    }
+
+    /// Bytes held by the packed payload.
+    #[cfg(test)]
+    pub(crate) fn packed_len(&self) -> usize {
+        self.packed.len()
     }
 
     /// Decodes the frame back into a response with the given `cached`
@@ -92,7 +99,7 @@ impl HitFrame {
 
 struct Inner {
     /// Keys are shared with `order`, so each key is stored once.
-    map: HashMap<Arc<str>, Arc<HitFrame>>,
+    map: HashMap<Arc<str>, HitFrame>,
     /// Insertion order, oldest first (FIFO eviction).
     order: VecDeque<Arc<str>>,
 }
@@ -140,6 +147,17 @@ impl ResponseCache {
     }
 
     /// Looks up an answer's hit frame, counting the hit or miss.
+    pub fn get(&self, key: &str) -> Option<HitFrame> {
+        let frame = self.lookup(key);
+        if frame.is_none() {
+            self.count_miss();
+        }
+        frame
+    }
+
+    /// Looks up an answer's hit frame, counting only a hit. A caller that
+    /// looks up before it knows the request is answerable counts the miss
+    /// with [`ResponseCache::count_miss`] once it does.
     ///
     /// Lock poisoning is recovered, not propagated: the cache holds only
     /// plain-old-data behind `Arc`s, every mutation leaves `map` and
@@ -148,18 +166,18 @@ impl ResponseCache {
     /// — which costs a recomputation, never a wrong answer. Propagating
     /// the poison instead would cascade the one panicking worker's fate
     /// onto every other worker despite their per-request `catch_unwind`.
-    pub fn get(&self, key: &str) -> Option<Arc<HitFrame>> {
+    pub fn lookup(&self, key: &str) -> Option<HitFrame> {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match inner.map.get(key) {
-            Some(a) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(a))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let frame = inner.map.get(key).cloned();
+        if frame.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
+        frame
+    }
+
+    /// Counts one miss.
+    pub fn count_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Inserts an answer (stored as its serialized hit frame), evicting
@@ -171,7 +189,7 @@ impl ResponseCache {
         if self.capacity == 0 {
             return;
         }
-        let frame = Arc::new(HitFrame::new(&answer));
+        let frame = HitFrame::new(&answer);
         let key: Arc<str> = key.into();
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if inner.map.insert(Arc::clone(&key), frame).is_none() {

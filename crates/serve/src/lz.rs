@@ -20,36 +20,113 @@
 const HASH_BITS: u32 = 12;
 /// Shortest match worth encoding.
 const MIN_MATCH: usize = 4;
+/// Earlier positions with the same 4-byte hash tried per match search.
+const CHAIN_DEPTH: usize = 16;
+/// End of a hash chain.
+const NONE: usize = usize::MAX;
 
-/// Packs `src` (greedy, one candidate per 4-byte hash bucket).
+/// Packs `src`: the longest of up to [`CHAIN_DEPTH`] candidates per
+/// position, taken one byte later when the next position starts a longer
+/// match (one-step lazy matching).
 pub(crate) fn pack(src: &[u8]) -> Vec<u8> {
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
+    let mut finder = MatchFinder::new(src);
     let mut out = Vec::with_capacity(src.len() / 3);
     let mut anchor = 0;
     let mut i = 0;
     while i + MIN_MATCH <= src.len() {
-        let word = u32::from_le_bytes([src[i], src[i + 1], src[i + 2], src[i + 3]]);
-        let bucket = (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize;
-        let cand = std::mem::replace(&mut table[bucket], i);
-        if cand == usize::MAX || src[cand..cand + MIN_MATCH] != src[i..i + MIN_MATCH] {
+        let Some(mut m) = finder.longest(i) else {
             i += 1;
             continue;
-        }
-        let mut len = MIN_MATCH;
-        while i + len < src.len() && src[cand + len] == src[i + len] {
-            len += 1;
+        };
+        if let Some(next) = finder.longest(i + 1) {
+            if next.len > m.len {
+                i += 1;
+                m = next;
+            }
         }
         push_varint(&mut out, i - anchor);
         out.extend_from_slice(&src[anchor..i]);
-        push_varint(&mut out, len - (MIN_MATCH - 1));
-        push_varint(&mut out, i - cand);
-        i += len;
+        push_varint(&mut out, m.len - (MIN_MATCH - 1));
+        push_varint(&mut out, m.offset);
+        i += m.len;
         anchor = i;
     }
     push_varint(&mut out, src.len() - anchor);
     out.extend_from_slice(&src[anchor..]);
     push_varint(&mut out, 0);
     out
+}
+
+/// A match of `len` bytes starting `offset` bytes back.
+struct Match {
+    len: usize,
+    offset: usize,
+}
+
+/// Hash chains over the 4-byte prefixes of `src`: `head[h]` is the latest
+/// position with hash `h`, `prev[p]` the one before `p`. Every position
+/// below `inserted` is chained, nearest first.
+struct MatchFinder<'a> {
+    src: &'a [u8],
+    head: Vec<usize>,
+    prev: Vec<usize>,
+    inserted: usize,
+}
+
+impl<'a> MatchFinder<'a> {
+    fn new(src: &'a [u8]) -> Self {
+        MatchFinder {
+            src,
+            head: vec![NONE; 1 << HASH_BITS],
+            prev: vec![NONE; src.len().saturating_sub(MIN_MATCH - 1)],
+            inserted: 0,
+        }
+    }
+
+    fn hash(&self, i: usize) -> usize {
+        let s = self.src;
+        let word = u32::from_le_bytes([s[i], s[i + 1], s[i + 2], s[i + 3]]);
+        (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+    }
+
+    /// The longest match for position `i` (nearest on ties) against the
+    /// positions before it, if one reaches [`MIN_MATCH`]. Positions must
+    /// be asked for in increasing order; `i` must leave [`MIN_MATCH`]
+    /// bytes, or the answer is `None`.
+    fn longest(&mut self, i: usize) -> Option<Match> {
+        let src = self.src;
+        if i + MIN_MATCH > src.len() {
+            return None;
+        }
+        while self.inserted < i {
+            let h = self.hash(self.inserted);
+            self.prev[self.inserted] = std::mem::replace(&mut self.head[h], self.inserted);
+            self.inserted += 1;
+        }
+        let mut best: Option<Match> = None;
+        let mut cand = self.head[self.hash(i)];
+        for _ in 0..CHAIN_DEPTH {
+            if cand == NONE {
+                break;
+            }
+            let len = src[i..]
+                .iter()
+                .zip(&src[cand..])
+                .take_while(|(a, b)| a == b)
+                .count();
+            if len >= MIN_MATCH && best.as_ref().is_none_or(|b| len > b.len) {
+                best = Some(Match {
+                    len,
+                    offset: i - cand,
+                });
+                if i + len == src.len() {
+                    break;
+                }
+            }
+            cand = self.prev[cand];
+        }
+        best
+    }
 }
 
 /// Unpacks the output of [`pack`] into `out` (cleared first, so a reused
@@ -103,6 +180,7 @@ fn read_varint(src: &[u8], pos: &mut usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(src: &[u8]) -> usize {
         let packed = pack(src);
@@ -142,5 +220,47 @@ mod tests {
         mixed.extend((0..=255u8).cycle().take(70_000));
         mixed.extend_from_slice(&mixed.clone()[..1000]);
         roundtrip(&mixed);
+    }
+
+    /// JSON fragments of the kind a cached answer frame repeats.
+    const JSON_TOKENS: [&str; 12] = [
+        r#"{"Cell":{"header":["#,
+        r#""workflow","n","lambda","#,
+        r#"["CyberShake","50","1e-3","#,
+        r#""DF-CkptW","#,
+        r#""BF-CkptPer","#,
+        "1461.012556",
+        "0.",
+        "],",
+        "[",
+        r#"{"order":[3,1,4,1,5],"checkpointed":[true,false]}"#,
+        ",",
+        r#""cached":true}}"#,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        fn random_bytes_roundtrip(src in collection::vec(0u8..=255, 0..3000)) {
+            roundtrip(&src);
+        }
+
+        fn small_alphabet_bytes_roundtrip(src in collection::vec(0u8..4, 0..3000)) {
+            roundtrip(&src);
+        }
+
+        fn json_like_text_roundtrips(
+            tokens in collection::vec(0usize..JSON_TOKENS.len(), 0..600),
+            digits in collection::vec(0u32..1_000_000, 0..600),
+        ) {
+            let mut text = String::new();
+            for (k, &t) in tokens.iter().enumerate() {
+                text.push_str(JSON_TOKENS[t]);
+                if let Some(d) = digits.get(k) {
+                    text.push_str(&d.to_string());
+                }
+            }
+            roundtrip(text.as_bytes());
+        }
     }
 }

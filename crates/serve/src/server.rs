@@ -7,8 +7,10 @@
 //!   ([`std::thread::available_parallelism`]); a connection is owned by
 //!   exactly one worker at a time, so per-connection state needs no
 //!   locking. The heavy per-cell evaluation itself fans out through the
-//!   chunk-folded parallel executor, which is safe to enter from several
-//!   workers at once.
+//!   parallel executor's persistent pool: each worker runs its own
+//!   dispatch on its own thread and is joined by whichever pool helpers
+//!   are parked, so workers dispatching at once share the pool instead of
+//!   spawning threads, and none waits on another.
 //! * **Batching** — responses are buffered and flushed only when the
 //!   connection's input buffer drains (no more pipelined requests in
 //!   flight) or [`BATCH`] responses accumulate, so a pipelining client
@@ -295,7 +297,7 @@ enum Reply {
     /// A response to serialize.
     Fresh(Response),
     /// A cache hit: the stored frame, sent as is.
-    Hit(Arc<HitFrame>),
+    Hit(HitFrame),
 }
 
 /// Decodes and answers one request frame; the bool asks the caller to
@@ -377,6 +379,13 @@ fn answer_cell(
             "TenantRows output requires an `arrivals` stream on the spec",
         ));
     }
+    // Look up before expanding: a key is only ever cached after its cell
+    // expanded in range and ran, so a hit needs no expansion. A miss is
+    // counted only once the cell is known to be in range.
+    let key = ResponseCache::key(&spec.to_json(), cell, format);
+    if let Some(frame) = cache.lookup(&key) {
+        return Reply::Hit(frame);
+    }
     let plans = match spec.expand() {
         Ok(p) => p,
         Err(e) => return Reply::Fresh(Response::error("invalid_spec", e.to_string())),
@@ -390,10 +399,7 @@ fn answer_cell(
             ),
         ));
     };
-    let key = ResponseCache::key(&spec.to_json(), cell, format);
-    if let Some(frame) = cache.get(&key) {
-        return Reply::Hit(frame);
-    }
+    cache.count_miss();
     let exec = match run_cell_full(spec, plan) {
         Ok(e) => e,
         Err(e) => return Reply::Fresh(Response::error("cell_error", e.to_string())),
@@ -449,4 +455,42 @@ fn answer_cell(
     });
     cache.insert(key, Arc::clone(&answer));
     Reply::Fresh(answer.to_response(false))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dagchkpt_bench::{builtin, Scale, Stage};
+
+    /// The fig3-style cell a `serve_mixed` miss asks for: the quick fig3
+    /// CyberShake scenario at n = 50.
+    fn fig3_cybershake_n50(seed: u64) -> ScenarioSpec {
+        let fig3 = builtin("fig3", Scale::Quick, seed).expect("built-in campaign");
+        let spec = fig3
+            .stages
+            .into_iter()
+            .find_map(|stage| match stage {
+                Stage::Scenario { scenario, .. } if scenario.name == "fig3_cybershake" => {
+                    Some(scenario)
+                }
+                _ => None,
+            })
+            .expect("fig3 has a CyberShake stage");
+        ScenarioSpec {
+            sizes: vec![50],
+            ..spec
+        }
+    }
+
+    #[test]
+    fn a_fig3_miss_frame_packs_small() {
+        let cache = ResponseCache::new(4);
+        let spec = fig3_cybershake_n50(42);
+        let reply = answer_cell(&spec, 0, OutputFormat::Figure, &cache);
+        assert!(matches!(reply, Reply::Fresh(Response::Cell { .. })));
+        let key = ResponseCache::key(&spec.to_json(), 0, OutputFormat::Figure);
+        let frame = cache.lookup(&key).expect("the answer was cached");
+        let packed = frame.packed_len();
+        assert!(packed <= 1700, "fig3 n = 50 frame packs to {packed} B");
+    }
 }

@@ -147,6 +147,36 @@ fn hits_and_misses_account_for_every_valid_cell_request() {
     stop_server(&addr, handle);
 }
 
+/// The daemon looks a cell up before it expands the scenario; each kind
+/// of request still moves the counters exactly as a lookup after the
+/// range check did: a hit counts one hit, a miss one miss, and an
+/// out-of-range cell neither — also when the spec has cached cells.
+#[test]
+fn each_request_kind_moves_the_counters_as_before() {
+    let spec = spec_with(13, vec![6, 8]);
+    let (addr, handle) = start_server(1, 16);
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut counts = |request: Request| -> (u64, u64) {
+        client.call(&request).unwrap();
+        match client.call(&Request::Stats).unwrap() {
+            Response::Stats { hits, misses, .. } => (hits, misses),
+            other => panic!("expected stats, got {other:?}"),
+        }
+    };
+    let cell = |cell: usize| Request::Cell {
+        spec: spec.clone(),
+        cell,
+        format: OutputFormat::Rows,
+    };
+    assert_eq!(counts(cell(5)), (0, 0), "out of range, cold cache");
+    assert_eq!(counts(cell(0)), (0, 1), "miss");
+    assert_eq!(counts(cell(0)), (1, 1), "in-range hit");
+    assert_eq!(counts(cell(5)), (1, 1), "out of range, warm cache");
+    assert_eq!(counts(cell(1)), (1, 2), "miss");
+    assert_eq!(counts(cell(1)), (2, 2), "in-range hit");
+    stop_server(&addr, handle);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
