@@ -109,11 +109,17 @@ impl<'a> MatchFinder<'a> {
             if cand == NONE {
                 break;
             }
-            let len = src[i..]
-                .iter()
-                .zip(&src[cand..])
-                .take_while(|(a, b)| a == b)
-                .count();
+            // A candidate that differs at the best length so far cannot
+            // beat it. (`i + best.len` is in bounds: a match reaching the
+            // end stops the search.)
+            if best
+                .as_ref()
+                .is_some_and(|b| src[cand + b.len] != src[i + b.len])
+            {
+                cand = self.prev[cand];
+                continue;
+            }
+            let len = common_prefix(&src[i..], &src[cand..]);
             if len >= MIN_MATCH && best.as_ref().is_none_or(|b| len > b.len) {
                 best = Some(Match {
                     len,
@@ -127,6 +133,24 @@ impl<'a> MatchFinder<'a> {
         }
         best
     }
+}
+
+/// Length of the common prefix of `a` and `b`, eight bytes at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut n = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("an 8-byte chunk"));
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + a[n..]
+        .iter()
+        .zip(&b[n..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// Unpacks the output of [`pack`] into `out` (cleared first, so a reused
