@@ -14,7 +14,9 @@
 //!
 //! where a `match_len − 3` of 0 ends the stream (no offset follows) and a
 //! match copies `match_len ≥ 4` bytes starting `offset` bytes back in the
-//! output (possibly overlapping itself). Varints are LEB128.
+//! output (possibly overlapping itself). Varints are LEB128. Packer and
+//! unpacker share a preset dictionary that counts as output preceding the
+//! stream, so a match may reach back into it.
 
 /// Hash-table size (log2) of the match finder.
 const HASH_BITS: u32 = 12;
@@ -25,15 +27,18 @@ const CHAIN_DEPTH: usize = 16;
 /// End of a hash chain.
 const NONE: usize = usize::MAX;
 
-/// Packs `src`: the longest of up to [`CHAIN_DEPTH`] candidates per
-/// position, taken one byte later when the next position starts a longer
+/// Packs `src` against the preset dictionary `dict`: a match may reach
+/// back into `dict` as if it preceded `src`, but `dict` itself is not
+/// stored. Each position takes the longest of up to [`CHAIN_DEPTH`]
+/// candidates, one byte later when the next position starts a longer
 /// match (one-step lazy matching).
-pub(crate) fn pack(src: &[u8]) -> Vec<u8> {
-    let mut finder = MatchFinder::new(src);
+pub(crate) fn pack(dict: &[u8], src: &[u8]) -> Vec<u8> {
+    let buf = [dict, src].concat();
+    let mut finder = MatchFinder::new(&buf);
     let mut out = Vec::with_capacity(src.len() / 3);
-    let mut anchor = 0;
-    let mut i = 0;
-    while i + MIN_MATCH <= src.len() {
+    let mut anchor = dict.len();
+    let mut i = dict.len();
+    while i + MIN_MATCH <= buf.len() {
         let Some(mut m) = finder.longest(i) else {
             i += 1;
             continue;
@@ -45,14 +50,14 @@ pub(crate) fn pack(src: &[u8]) -> Vec<u8> {
             }
         }
         push_varint(&mut out, i - anchor);
-        out.extend_from_slice(&src[anchor..i]);
+        out.extend_from_slice(&buf[anchor..i]);
         push_varint(&mut out, m.len - (MIN_MATCH - 1));
         push_varint(&mut out, m.offset);
         i += m.len;
         anchor = i;
     }
-    push_varint(&mut out, src.len() - anchor);
-    out.extend_from_slice(&src[anchor..]);
+    push_varint(&mut out, buf.len() - anchor);
+    out.extend_from_slice(&buf[anchor..]);
     push_varint(&mut out, 0);
     out
 }
@@ -153,10 +158,13 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
         .count()
 }
 
-/// Unpacks the output of [`pack`] into `out` (cleared first, so a reused
-/// buffer stops allocating once it has grown to the largest frame).
-pub(crate) fn unpack_into(packed: &[u8], out: &mut Vec<u8>) {
+/// Unpacks the output of [`pack`] with the same `dict` into `out`
+/// (cleared first, so a reused buffer stops allocating once it has grown
+/// to the largest frame) and returns the unpacked bytes: `out` holds
+/// `dict` followed by them.
+pub(crate) fn unpack_into<'a>(dict: &[u8], packed: &[u8], out: &'a mut Vec<u8>) -> &'a [u8] {
     out.clear();
+    out.extend_from_slice(dict);
     let mut pos = 0;
     loop {
         let literals = read_varint(packed, &mut pos);
@@ -164,7 +172,7 @@ pub(crate) fn unpack_into(packed: &[u8], out: &mut Vec<u8>) {
         pos += literals;
         let code = read_varint(packed, &mut pos);
         if code == 0 {
-            return;
+            return &out[dict.len()..];
         }
         let len = code + MIN_MATCH - 1;
         let start = out.len() - read_varint(packed, &mut pos);
@@ -207,10 +215,13 @@ mod tests {
     use proptest::prelude::*;
 
     fn roundtrip(src: &[u8]) -> usize {
-        let packed = pack(src);
+        roundtrip_with(b"", src)
+    }
+
+    fn roundtrip_with(dict: &[u8], src: &[u8]) -> usize {
+        let packed = pack(dict, src);
         let mut out = vec![1, 2, 3];
-        unpack_into(&packed, &mut out);
-        assert_eq!(out, src);
+        assert_eq!(unpack_into(dict, &packed, &mut out), src);
         packed.len()
     }
 
@@ -246,6 +257,18 @@ mod tests {
         roundtrip(&mixed);
     }
 
+    #[test]
+    fn a_dictionary_replaces_first_occurrences() {
+        let dict = br#"{"strategy":"","order":[],"checkpoints":[],"best_n":null}"#;
+        let src = br#"[{"strategy":"DF-CkptW","order":[2,0,1],"checkpoints":[],"best_n":null}]"#;
+        let plain = roundtrip(src);
+        let with = roundtrip_with(dict, src);
+        assert!(
+            with + 20 < plain,
+            "{with} B with the dictionary, {plain} B without"
+        );
+    }
+
     /// JSON fragments of the kind a cached answer frame repeats.
     const JSON_TOKENS: [&str; 12] = [
         r#"{"Cell":{"header":["#,
@@ -265,8 +288,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        fn random_bytes_roundtrip(src in collection::vec(0u8..=255, 0..3000)) {
+        fn random_bytes_roundtrip(
+            src in collection::vec(0u8..=255, 0..3000),
+            dict in collection::vec(0u8..=255, 0..300),
+        ) {
             roundtrip(&src);
+            roundtrip_with(&dict, &src);
         }
 
         fn small_alphabet_bytes_roundtrip(src in collection::vec(0u8..4, 0..3000)) {
@@ -285,6 +312,7 @@ mod tests {
                 }
             }
             roundtrip(text.as_bytes());
+            roundtrip_with(JSON_TOKENS.concat().as_bytes(), text.as_bytes());
         }
     }
 }
