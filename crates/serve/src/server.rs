@@ -491,6 +491,6 @@ mod tests {
         let key = ResponseCache::key(&spec.to_json(), 0, OutputFormat::Figure);
         let frame = cache.lookup(&key).expect("the answer was cached");
         let packed = frame.packed_len();
-        assert!(packed <= 1700, "fig3 n = 50 frame packs to {packed} B");
+        assert!(packed <= 1400, "fig3 n = 50 frame packs to {packed} B");
     }
 }
