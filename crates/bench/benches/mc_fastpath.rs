@@ -15,9 +15,12 @@
 //!
 //! The matrix is {chain-200, cybershake-200 at λ = 1e-3, cybershake-200
 //! at λ·W ≈ 4 (fault-heavy: the post-fault path)} × {blocking,
-//! non-blocking, replicated}, timed trial-for-trial on one thread with
-//! identical seeds, so the ratio isolates per-trial work (the statistics
-//! spine is shared). Besides the criterion table, the bench emits
+//! non-blocking, replicated}, plus one replicated row in the shape of the
+//! `hetero_replication` quick campaign (CyberShake n = 50 at its default
+//! λ = 1e-3 on `Spread{4, 2, 4}`, degree 2), where almost every attempt
+//! reads the first-attempt table and survives without a logarithm. Rows
+//! are timed trial-for-trial on one thread with identical seeds, so the
+//! ratio isolates per-trial work (the statistics spine is shared). Besides the criterion table, the bench emits
 //! `BENCH_mc.json` (working directory) with trials/sec before/after, the
 //! speedup, and the plan's compile time and row bytes per row.
 //! `--quick` (the CI smoke mode) skips the criterion table and shrinks
@@ -29,8 +32,8 @@ use dagchkpt_dag::{generators, topo, FixedBitSet};
 use dagchkpt_failure::{ExponentialInjector, HeteroPlatform, Processor};
 use dagchkpt_sim::{
     simulate, simulate_nonblocking, simulate_nonblocking_planned, simulate_planned,
-    simulate_replicated_planned, simulate_replicated_sets, NonBlockingConfig, SimConfig, TrialPlan,
-    TrialScratch, TrialSpec,
+    simulate_replicated_planned, simulate_replicated_sets, FirstAttemptTable, NonBlockingConfig,
+    SimConfig, TrialPlan, TrialScratch, TrialSpec,
 };
 use std::time::Instant;
 
@@ -65,6 +68,39 @@ fn fixtures() -> Vec<(&'static str, Workflow, Schedule, f64)> {
         (name, wf, s, lambda)
     })
     .collect()
+}
+
+/// The `hetero_replication` quick shape: CyberShake n = 50 at the
+/// paper's mean weight and default rate, checkpointing every 4th task.
+fn hetero_replication_fixture() -> (Workflow, Schedule, f64) {
+    let wf = dagchkpt_workflows::cybershake::generate(
+        50,
+        25.0,
+        CostRule::ProportionalToWork { ratio: 0.1 },
+        42,
+    );
+    let order = topo::topological_order(wf.dag());
+    let ckpt = FixedBitSet::from_indices(50, (0..50).filter(|i| i % 4 == 0));
+    let s = Schedule::new(&wf, order, ckpt).unwrap();
+    (wf, s, LAMBDA)
+}
+
+/// `Spread{4, 2, 4}` as the campaign engine resolves it: speed `2^{−x}`,
+/// rate `λ·4^x`, `x = k/3`.
+fn spread4(lambda: f64) -> HeteroPlatform {
+    HeteroPlatform::new(
+        (0..4)
+            .map(|k| {
+                let x = k as f64 / 3.0;
+                Processor {
+                    speed: f64::powf(2.0, -x),
+                    ..Processor::reference(lambda * f64::powf(4.0, x))
+                }
+            })
+            .collect(),
+        DOWNTIME,
+    )
+    .unwrap()
 }
 
 fn platform2(lambda: f64) -> HeteroPlatform {
@@ -113,7 +149,9 @@ impl Row {
     }
 }
 
-/// Times one (workflow, engine) cell both ways and returns the row.
+/// Times one (workflow, engine) cell both ways and returns the row; the
+/// replicated engine runs `owned_sets` on `platform`.
+#[allow(clippy::too_many_arguments)]
 fn measure(
     name: &'static str,
     wf: &Workflow,
@@ -121,6 +159,8 @@ fn measure(
     lambda: f64,
     engine: &'static str,
     trials: usize,
+    platform: &HeteroPlatform,
+    owned_sets: &[Vec<usize>],
 ) -> Row {
     let spec = TrialSpec::new(trials, 77);
     let start = Instant::now();
@@ -136,14 +176,13 @@ fn measure(
         compute_rate: COMPUTE_RATE,
         record_trace: false,
     };
-    let platform = platform2(lambda);
-    let degrees: Vec<usize> = (0..wf.n_tasks()).map(|i| 1 + i % 2).collect();
-    let owned_sets: Vec<Vec<usize>> = degrees.iter().map(|&d| (0..d).collect()).collect();
     let sets: Vec<&[usize]> = owned_sets.iter().map(Vec::as_slice).collect();
-    let mut injectors: Vec<ExponentialInjector> = Vec::with_capacity(2);
+    let first = FirstAttemptTable::compile(&plan, platform, &sets);
+    let ranks = dagchkpt_core::replica_rank_count(&sets);
+    let mut injectors: Vec<ExponentialInjector> = Vec::with_capacity(ranks);
     let fill_injectors = |injectors: &mut Vec<ExponentialInjector>, i: usize| {
         injectors.clear();
-        injectors.extend((0..2).map(|rank| {
+        injectors.extend((0..ranks).map(|rank| {
             ExponentialInjector::new(platform.procs()[rank].lambda, spec.proc_seed(i, rank))
         }));
     };
@@ -172,11 +211,11 @@ fn measure(
         "replicated" => (
             time_trials(trials, |i| {
                 fill_injectors(&mut injectors, i);
-                simulate_replicated_sets(wf, s, &platform, &owned_sets, &mut injectors).makespan
+                simulate_replicated_sets(wf, s, platform, owned_sets, &mut injectors).makespan
             }),
             time_trials(trials, |i| {
                 fill_injectors(&mut injectors, i);
-                simulate_replicated_planned(&plan, &platform, &sets, &mut injectors).makespan
+                simulate_replicated_planned(&plan, &first, platform, &mut injectors).makespan
             }),
         ),
         other => panic!("unknown engine {other}"),
@@ -195,10 +234,29 @@ fn measure(
 fn run_matrix(trials: usize) -> Vec<Row> {
     let mut rows = Vec::new();
     for (name, wf, s, lambda) in &fixtures() {
+        let platform = platform2(*lambda);
+        let sets: Vec<Vec<usize>> = (0..wf.n_tasks())
+            .map(|i| (0..1 + i % 2).collect())
+            .collect();
         for engine in ["blocking", "nonblocking", "replicated"] {
-            rows.push(measure(name, wf, s, *lambda, engine, trials));
+            rows.push(measure(
+                name, wf, s, *lambda, engine, trials, &platform, &sets,
+            ));
         }
     }
+    let (wf, s, lambda) = hetero_replication_fixture();
+    let sets = vec![vec![0, 1]; wf.n_tasks()];
+    rows.push(measure(
+        "cybershake-50-spread4",
+        &wf,
+        &s,
+        lambda,
+        "replicated",
+        // Each trial is a quarter of a 200-task one.
+        4 * trials,
+        &spread4(lambda),
+        &sets,
+    ));
     rows
 }
 

@@ -21,7 +21,7 @@ use dagchkpt_core::{
 };
 use dagchkpt_failure::{
     daly, ExponentialInjector, FaultInjector, FaultModel, HeteroPlatform, StorageHierarchy,
-    TraceInjector, WeibullInjector,
+    SurvivalHint, TraceInjector, WeibullInjector,
 };
 use dagchkpt_sim::{
     run_nonblocking_trials_with, run_replicated_nonblocking_trials_with,
@@ -461,27 +461,37 @@ impl FaultInjector for CellInjector {
             CellInjector::Trace(i) => i.next_fault_after(t),
         }
     }
+
+    fn fault_before(&mut self, duration: f64, hint: SurvivalHint) -> Option<f64> {
+        match self {
+            CellInjector::Exp(i) => i.fault_before(duration, hint),
+            CellInjector::Weibull(i) => i.fault_before(duration, hint),
+            CellInjector::Trace(i) => i.fault_before(duration, hint),
+        }
+    }
 }
 
-/// A fault process calibrated once per cell (the Weibull scale costs a
-/// Γ evaluation), building each trial's [`CellInjector`] from a seed.
-#[derive(Clone, Copy)]
-enum FaultSource<'a> {
+/// A fault process prepared once per cell (the Weibull scale costs a
+/// Γ evaluation; a trace is checked and shared), building each trial's
+/// [`CellInjector`] from a seed.
+enum FaultSource {
     Exp { lambda: f64 },
     Weibull { scale: f64, shape: f64 },
-    Trace(&'a [f64]),
+    Trace(TraceInjector),
 }
 
-impl<'a> FaultSource<'a> {
+impl FaultSource {
     /// The cell's single-machine fault process.
-    fn of_cell(failure: &'a FailureCell) -> Self {
+    fn of_cell(failure: &FailureCell) -> Self {
         match failure {
             FailureCell::Exponential { lambda, .. } => FaultSource::Exp { lambda: *lambda },
             FailureCell::Weibull { mtbf, shape, .. } => FaultSource::Weibull {
                 scale: WeibullInjector::mtbf_scale(*mtbf, *shape),
                 shape: *shape,
             },
-            FailureCell::Trace { times, .. } => FaultSource::Trace(times),
+            FailureCell::Trace { times, .. } => {
+                FaultSource::Trace(TraceInjector::new(times.as_slice()))
+            }
         }
     }
 
@@ -501,14 +511,14 @@ impl<'a> FaultSource<'a> {
     }
 
     fn injector(&self, seed: u64) -> CellInjector {
-        match *self {
+        match self {
             FaultSource::Exp { lambda } => {
-                CellInjector::Exp(ExponentialInjector::new(lambda, seed))
+                CellInjector::Exp(ExponentialInjector::new(*lambda, seed))
             }
             FaultSource::Weibull { scale, shape } => {
-                CellInjector::Weibull(WeibullInjector::new(scale, shape, seed))
+                CellInjector::Weibull(WeibullInjector::new(*scale, *shape, seed))
             }
-            FaultSource::Trace(times) => CellInjector::Trace(TraceInjector::new(times.to_vec())),
+            FaultSource::Trace(trace) => CellInjector::Trace(trace.replay()),
         }
     }
 }

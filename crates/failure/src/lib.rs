@@ -21,7 +21,10 @@
 //!   discuss the `CkptPer` strategy;
 //! * [`injector`] — pluggable fault injectors for the Monte-Carlo simulator:
 //!   exponential (the paper's model), Weibull (age-dependent extension), a
-//!   fixed trace (deterministic tests), and a fault-free injector.
+//!   fixed trace (deterministic tests), and a fault-free injector, plus the
+//!   survival test a replicated attempt asks (`fault_before` with a
+//!   [`SurvivalHint`]), which the exponential injector answers without a
+//!   logarithm for most survivors.
 
 pub mod daly;
 pub mod injector;
@@ -29,7 +32,9 @@ pub mod model;
 pub mod platform;
 pub mod storage;
 
-pub use injector::{ExponentialInjector, FaultInjector, NoFaults, TraceInjector, WeibullInjector};
+pub use injector::{
+    ExponentialInjector, FaultInjector, NoFaults, SurvivalHint, TraceInjector, WeibullInjector,
+};
 pub use model::FaultModel;
 pub use platform::{HeteroPlatform, Platform, PlatformError, Processor};
 pub use storage::{StorageHierarchy, StorageTier, MAX_TIERS};

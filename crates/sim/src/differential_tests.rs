@@ -2,16 +2,21 @@
 //! layered DAGs, random linearizations, random checkpoint sets and costs,
 //! fault rates up to `λ·W ≈ 4` and several interference factors, the
 //! planned blocking, non-blocking and replicated engines equal their
-//! reference engines bit for bit on every [`PlannedResult`] field.
+//! reference engines bit for bit on every [`PlannedResult`] field. The
+//! replicated engine's first-attempt table and survival test are also
+//! run on random `Spread` platforms and replica sets, against mixed
+//! fault processes.
 
 use crate::engine::{simulate, SimConfig, SimResult};
 use crate::events::{Event, UnitKind};
 use crate::nonblocking::{simulate_nonblocking, simulate_nonblocking_planned, NonBlockingConfig};
-use crate::replicated::{simulate_replicated_planned, simulate_replicated_sets};
+use crate::replicated::{simulate_replicated_planned, simulate_replicated_sets, FirstAttemptTable};
 use crate::trialplan::{simulate_planned, PlannedResult, TrialPlan, TrialScratch};
 use dagchkpt_core::{Schedule, TaskCosts, Workflow};
 use dagchkpt_dag::{generators, FixedBitSet, NodeId};
-use dagchkpt_failure::{ExponentialInjector, HeteroPlatform, Processor};
+use dagchkpt_failure::{
+    ExponentialInjector, FaultInjector, HeteroPlatform, Processor, SurvivalHint, WeibullInjector,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -121,6 +126,7 @@ fn planned_engines_equal_the_reference_engines_on_random_dags() {
         for lambda_w in [0.25, 1.0, 2.0, 4.0] {
             let lambda = lambda_w / total_work;
             let platform = hetero2(lambda);
+            let first = FirstAttemptTable::compile(&plan, &platform, &set_refs);
             for trial in 0..12u64 {
                 let seed = case * 7919 + trial;
                 let what = format!("case {case}, λW {lambda_w}, trial {trial}");
@@ -188,7 +194,7 @@ fn planned_engines_equal_the_reference_engines_on_random_dags() {
                         .collect()
                 };
                 let reference = simulate_replicated_sets(&wf, &s, &platform, &sets, &mut build());
-                let fast = simulate_replicated_planned(&plan, &platform, &set_refs, &mut build());
+                let fast = simulate_replicated_planned(&plan, &first, &platform, &mut build());
                 assert_same(&reference, &fast, &format!("replicated, {what}"));
             }
         }
@@ -277,6 +283,131 @@ fn empty_workflow_runs_on_every_planned_engine() {
     assert_same(&reference, &fast, "non-blocking");
     let platform = hetero2(1e-2);
     let mut injectors = vec![ExponentialInjector::new(1e-2, 3)];
-    let fast = simulate_replicated_planned(&plan, &platform, &[], &mut injectors);
+    let first = FirstAttemptTable::compile(&plan, &platform, &[]);
+    let fast = simulate_replicated_planned(&plan, &first, &platform, &mut injectors);
     assert_eq!(fast.makespan, 0.0);
+}
+
+/// Test injector mixing the fault processes a cell can hand the
+/// replicated engine; it forwards both trait methods, as the campaign
+/// engine's own per-cell injector does.
+enum Mixed {
+    Exp(ExponentialInjector),
+    Weibull(WeibullInjector),
+}
+
+impl FaultInjector for Mixed {
+    fn next_fault_after(&mut self, t: f64) -> f64 {
+        match self {
+            Mixed::Exp(i) => i.next_fault_after(t),
+            Mixed::Weibull(i) => i.next_fault_after(t),
+        }
+    }
+
+    fn fault_before(&mut self, duration: f64, hint: SurvivalHint) -> Option<f64> {
+        match self {
+            Mixed::Exp(i) => i.fault_before(duration, hint),
+            Mixed::Weibull(i) => i.fault_before(duration, hint),
+        }
+    }
+}
+
+/// A `Spread`-shaped platform of `count` processors (speed `s^{−x}`, rate
+/// proportional to `r^x` for `x = k/(count − 1)`), with random bandwidths
+/// so that every term of the attempt duration matters. Rates are scaled
+/// so that the least favourable processor sees `lambda_w` faults over
+/// `total_work` (a singleton set on it must still finish). Processor 1
+/// never fails, and the last one, when there are three or more, faults
+/// Weibull-shaped.
+fn random_spread(rng: &mut SmallRng, lambda_w: f64, total_work: f64) -> HeteroPlatform {
+    let count = rng.gen_range(2..=5usize);
+    let speed_spread = rng.gen_range(1.0..4.0);
+    let rate_spread = rng.gen_range(1.0..8.0);
+    let x = |k: usize| k as f64 / (count - 1) as f64;
+    // Rate × duration peaks on the slowest, least reliable processor.
+    let scale = lambda_w / (total_work * rate_spread * speed_spread);
+    let procs = (0..count)
+        .map(|k| Processor {
+            speed: f64::powf(speed_spread, -x(k)),
+            lambda: if k == 1 {
+                0.0
+            } else {
+                scale * f64::powf(rate_spread, x(k))
+            },
+            shape: (count >= 3 && k == count - 1).then_some(0.7),
+            read_bw: rng.gen_range(0.5..2.0),
+            write_bw: rng.gen_range(0.5..2.0),
+        })
+        .collect();
+    HeteroPlatform::new(procs, 1.0).unwrap()
+}
+
+/// The first-attempt table and the survival test change no bit: on random
+/// DAGs, random `Spread` platforms and random replica sets, the planned
+/// engine equals the reference engine on every field of every trial —
+/// with a processor that never fails, a Weibull-shaped processor, and an
+/// exponential injector whose rate is not the platform's (its hints must
+/// be refused). Group failures, and so the post-fault path, occur.
+#[test]
+fn first_attempt_table_changes_no_bit_on_random_platforms() {
+    let mut group_failures = 0u64;
+    let mut trials = 0u64;
+    for case in 0..40u64 {
+        let (wf, s) = random_case(5000 + case);
+        let n = wf.n_tasks();
+        let plan = TrialPlan::compile(&wf, &s);
+        let total_work: f64 = wf.works().iter().sum();
+        let mut rng = SmallRng::seed_from_u64(9000 + case);
+        for lambda_w in [0.05, 1.0, 3.0] {
+            let platform = random_spread(&mut rng, lambda_w, total_work);
+            let procs = platform.procs();
+            let p = procs.len();
+            let sets: Vec<Vec<usize>> = (0..n)
+                .map(|_| {
+                    let mut set: Vec<usize> = (0..p).filter(|_| rng.gen_bool(0.5)).collect();
+                    if set.is_empty() {
+                        set.push(rng.gen_range(0..p));
+                    }
+                    set
+                })
+                .collect();
+            let set_refs: Vec<&[usize]> = sets.iter().map(|s| s.as_slice()).collect();
+            let first = FirstAttemptTable::compile(&plan, &platform, &set_refs);
+            // Rank 0 draws at 1.5× its platform rate.
+            let build = |seed: u64| -> Vec<Mixed> {
+                procs
+                    .iter()
+                    .enumerate()
+                    .map(|(rank, proc)| {
+                        let seed = seed.wrapping_mul(31).wrapping_add(rank as u64);
+                        match proc.shape {
+                            Some(shape) => Mixed::Weibull(WeibullInjector::with_mtbf(
+                                1.0 / proc.lambda,
+                                shape,
+                                seed,
+                            )),
+                            None if rank == 0 => {
+                                Mixed::Exp(ExponentialInjector::new(1.5 * proc.lambda, seed))
+                            }
+                            None => Mixed::Exp(ExponentialInjector::new(proc.lambda, seed)),
+                        }
+                    })
+                    .collect()
+            };
+            for trial in 0..24u64 {
+                let seed = case * 104_729 + trial;
+                let what = format!("case {case}, λW {lambda_w}, {p} procs, trial {trial}");
+                let reference =
+                    simulate_replicated_sets(&wf, &s, &platform, &sets, &mut build(seed));
+                let fast = simulate_replicated_planned(&plan, &first, &platform, &mut build(seed));
+                assert_same(&reference, &fast, &what);
+                group_failures += fast.n_faults;
+                trials += 1;
+            }
+        }
+    }
+    assert!(
+        group_failures * 4 > trials,
+        "only {group_failures} group failures over {trials} trials"
+    );
 }

@@ -51,6 +51,7 @@ pub use replicated::{
     run_replicated_nonblocking_trials_with, run_replicated_sets_trials_with,
     run_replicated_trials_with, simulate_replicated_nonblocking,
     simulate_replicated_nonblocking_sets, simulate_replicated_planned, simulate_replicated_sets,
+    FirstAttemptTable,
 };
 pub use stats::Stats;
 pub use tenant::{run_tenant_trials_with, TenantConfig, TenantJob, TenantPolicy, TenantStats};

@@ -24,6 +24,24 @@
 //! non-blocking group engine stays on the reference path;
 //! [`run_replicated_nonblocking_trials_with`] is its trial runner.
 //!
+//! # First attempts
+//!
+//! Every replica's fault draw is renewed at every attempt, yet almost
+//! every attempt survives and a survivor's fault time is never read. An
+//! attempt with nothing to rework or recover — every attempt before a
+//! block's first group failure, and any whose block has no plan in the
+//! row of the last wipe — has per-replica durations fixed by the cell.
+//! [`FirstAttemptTable`] compiles them once per cell, next to the
+//! [`TrialPlan`], each with the [`SurvivalHint`] of its processor's rate,
+//! and the engines ask every replica [`FaultInjector::fault_before`]:
+//! `None` for a survivor, `Some(f)` for a fault at `f`. An exponential
+//! injector whose rate matches the hint settles most survivors without a
+//! logarithm (the proof is in `dagchkpt_failure::injector`); any other
+//! injector, and every attempt without a hint, compares
+//! `next_fault_after(0.0)` with the duration, as before. The draws and
+//! every float are those of the reference engine
+//! ([`simulate_replicated_sets`]), which the differential suite pins.
+//!
 //! # Blocking vs non-blocking
 //!
 //! [`simulate_replicated_sets`] folds the winner's checkpoint write into its
@@ -88,7 +106,7 @@ use crate::stats::Stats;
 use crate::trialplan::{PlannedResult, RowCursor, TrialPlan};
 use dagchkpt_core::{Schedule, Workflow};
 use dagchkpt_dag::{FixedBitSet, NodeId};
-use dagchkpt_failure::{FaultInjector, HeteroPlatform, Processor};
+use dagchkpt_failure::{FaultInjector, HeteroPlatform, Processor, SurvivalHint};
 use std::collections::VecDeque;
 
 /// Outcome of one group attempt.
@@ -99,35 +117,48 @@ enum Attempt {
     GroupFailure { elapsed: f64 },
 }
 
-/// Runs one group attempt over the replica `set` (processor indices into
-/// `procs`, which also index `injectors`): per-replica deterministic
-/// durations from `duration_of`, per-replica fault draws renewed at the
-/// attempt start. For a prefix set `[0, …, r−1]` this is exactly the
-/// historical degree-`r` attempt, draw for draw.
+/// Runs one group attempt over its replica slots `(rank, duration, hint)`
+/// (processor indices into `injectors`): per-replica deterministic
+/// durations, per-replica fault draws renewed at the attempt start, asked
+/// through [`FaultInjector::fault_before`] — which answers exactly as
+/// comparing `next_fault_after(0.0)` with the duration would. For a prefix
+/// set `[0, …, r−1]` this is exactly the historical degree-`r` attempt,
+/// draw for draw.
 fn group_attempt<I: FaultInjector>(
-    procs: &[Processor],
-    set: &[usize],
     injectors: &mut [I],
-    duration_of: impl Fn(&Processor) -> f64,
+    slots: impl Iterator<Item = (usize, f64, SurvivalHint)>,
 ) -> Attempt {
     let mut best: Option<(f64, usize)> = None;
     let mut max_f = 0.0f64;
-    for &rank in set {
-        let p = &procs[rank];
-        let d = duration_of(p);
-        let f = injectors[rank].next_fault_after(0.0);
-        if f >= d {
-            if best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, rank));
+    for (rank, d, hint) in slots {
+        match injectors[rank].fault_before(d, hint) {
+            None => {
+                if best.is_none_or(|(bd, _)| d < bd) {
+                    best = Some((d, rank));
+                }
             }
-        } else if f > max_f {
-            max_f = f;
+            Some(f) => {
+                if f > max_f {
+                    max_f = f;
+                }
+            }
         }
     }
     match best {
         Some((elapsed, rank)) => Attempt::Success { rank, elapsed },
         None => Attempt::GroupFailure { elapsed: max_f },
     }
+}
+
+/// The slots of an attempt over replica `set` whose durations come from
+/// `duration_of`, with no survival hint.
+fn unhinted<'a>(
+    procs: &'a [Processor],
+    set: &'a [usize],
+    duration_of: impl Fn(&Processor) -> f64 + 'a,
+) -> impl Iterator<Item = (usize, f64, SurvivalHint)> + 'a {
+    set.iter()
+        .map(move |&rank| (rank, duration_of(&procs[rank]), SurvivalHint::NONE))
 }
 
 fn empty_result() -> SimResult {
@@ -227,9 +258,12 @@ fn simulate_replicated_on<I: FaultInjector>(
         loop {
             let plan = recovery_plan(wf, schedule, &memory, task);
             let (rework, recovery) = plan_amounts(&plan);
-            let attempt = group_attempt(procs, set, injectors, |p| {
-                (rework + w) / p.speed + recovery / p.read_bw + c / p.write_bw
-            });
+            let attempt = group_attempt(
+                injectors,
+                unhinted(procs, set, |p| {
+                    (rework + w) / p.speed + recovery / p.read_bw + c / p.write_bw
+                }),
+            );
             match attempt {
                 Attempt::Success { rank, elapsed } => {
                     t += elapsed;
@@ -258,20 +292,101 @@ fn simulate_replicated_on<I: FaultInjector>(
     res
 }
 
+/// One replica slot of a block's first attempt.
+#[derive(Debug, Clone, Copy)]
+struct FirstSlot {
+    /// The replica's processor rank.
+    rank: usize,
+    /// The attempt's duration with no rework and no recovery.
+    duration: f64,
+    /// The survival threshold for `duration` at the processor's rate.
+    hint: SurvivalHint,
+}
+
+/// The compiled first attempts of a replicated cell: for every schedule
+/// position and every replica of its set, the duration the blocking
+/// engine computes when the attempt has nothing to rework or recover,
+/// `(0 + w)/speed + 0/read_bw + c/write_bw` (the same expression, so the
+/// same bits), and the [`SurvivalHint`] built from the processor's rate
+/// for that duration. Compiled once per cell next to the [`TrialPlan`]
+/// and shared read-only by every trial.
+///
+/// Every attempt before a block's first group failure is such an attempt,
+/// and so is every attempt whose block has no plan in the row of the last
+/// wipe, which covers almost every attempt at realistic rates. The engine
+/// reads them here and lets an exponential injector settle a survivor
+/// without a logarithm (`dagchkpt_failure::injector`). The draws and every
+/// float are unchanged. Attempts after a wipe with a recovery plan keep
+/// computing their durations and take no hint.
+#[derive(Debug, Clone)]
+pub struct FirstAttemptTable {
+    /// Position `idx` owns `slots[offsets[idx]..offsets[idx + 1]]`.
+    offsets: Vec<u32>,
+    /// One slot per replica, positions in schedule order and replicas in
+    /// set order.
+    slots: Vec<FirstSlot>,
+    /// Injectors a trial needs: one past the largest rank of any set.
+    ranks: usize,
+}
+
+impl FirstAttemptTable {
+    /// Compiles the table of `plan` on `platform` with per-**task** replica
+    /// `sets` (normalized; indexed by task id, like the engines').
+    pub fn compile(plan: &TrialPlan, platform: &HeteroPlatform, sets: &[&[usize]]) -> Self {
+        assert_eq!(sets.len(), plan.n_tasks(), "one replica set per task");
+        let procs = platform.procs();
+        let mut offsets = Vec::with_capacity(plan.n_tasks() + 1);
+        let mut slots = Vec::new();
+        offsets.push(0);
+        for idx in 0..plan.n_tasks() {
+            let (w, c) = (plan.work[idx], plan.block_ckpt[idx]);
+            for &rank in sets[plan.order[idx].index()] {
+                let p = &procs[rank];
+                let duration = (0.0 + w) / p.speed + 0.0 / p.read_bw + c / p.write_bw;
+                slots.push(FirstSlot {
+                    rank,
+                    duration,
+                    hint: SurvivalHint::new(p.lambda, duration),
+                });
+            }
+            offsets.push(slots.len() as u32);
+        }
+        FirstAttemptTable {
+            offsets,
+            slots,
+            ranks: dagchkpt_core::replica_rank_count(sets),
+        }
+    }
+
+    /// The slots of the block at position `idx`.
+    #[inline]
+    fn slots(&self, idx: usize) -> &[FirstSlot] {
+        &self.slots[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
+    }
+}
+
 /// Zero-allocation twin of the blocking group engine: identical group
 /// attempts, pricing and accounting — bit-identical results (pinned by
-/// the differential test below) — but each attempt reads its (rework,
+/// the differential tests) — but each attempt reads its (rework,
 /// recovery) amounts from the compiled `plan`'s recovery rows instead of
-/// tracking memory and building a plan, and no trace machinery exists.
-/// The trial runners share one [`TrialPlan`] across all threads.
+/// tracking memory and building a plan, an attempt with neither reads
+/// its durations and survival hints from `first` (compiled from the same
+/// `plan` and `platform`), and no trace machinery exists. The trial
+/// runners share one [`TrialPlan`] and one [`FirstAttemptTable`] across
+/// all threads.
 pub fn simulate_replicated_planned<I: FaultInjector>(
     plan: &TrialPlan,
+    first: &FirstAttemptTable,
     platform: &HeteroPlatform,
-    sets: &[&[usize]],
     injectors: &mut [I],
 ) -> PlannedResult {
+    assert_eq!(
+        first.offsets.len(),
+        plan.n_tasks() + 1,
+        "the table belongs to another plan"
+    );
     assert!(
-        injectors.len() >= dagchkpt_core::replica_rank_count(sets),
+        injectors.len() >= first.ranks,
         "need one injector per replica rank"
     );
     let procs = platform.procs();
@@ -281,17 +396,27 @@ pub fn simulate_replicated_planned<I: FaultInjector>(
 
     let mut row = RowCursor::default();
     for idx in 0..plan.n_tasks() {
-        let set = sets[plan.order[idx].index()];
+        let slots = first.slots(idx);
         let w = plan.work[idx];
         let c = plan.block_ckpt[idx];
         loop {
-            let (rework, recovery) = row.take(plan, idx).map_or((0.0, 0.0), |e| {
-                let entry = plan.entry(e);
-                (entry.rework, entry.recovery)
-            });
-            let attempt = group_attempt(procs, set, injectors, |p| {
-                (rework + w) / p.speed + recovery / p.read_bw + c / p.write_bw
-            });
+            let entry = row.take(plan, idx).map(|e| plan.entry(e));
+            let (rework, recovery) = entry.map_or((0.0, 0.0), |e| (e.rework, e.recovery));
+            let attempt = if entry.is_none() {
+                group_attempt(
+                    injectors,
+                    slots.iter().map(|s| (s.rank, s.duration, s.hint)),
+                )
+            } else {
+                group_attempt(
+                    injectors,
+                    slots.iter().map(|s| {
+                        let p = &procs[s.rank];
+                        let d = (rework + w) / p.speed + recovery / p.read_bw + c / p.write_bw;
+                        (s.rank, d, SurvivalHint::NONE)
+                    }),
+                )
+            };
             match attempt {
                 Attempt::Success { rank, elapsed } => {
                     t += elapsed;
@@ -412,16 +537,19 @@ fn simulate_replicated_nonblocking_on<I: FaultInjector>(
             // Wall time at which the queue (as of the attempt start) empties.
             let queue_wall: f64 = writes.iter().map(|(_, rem)| rem).sum();
             let content = |p: &Processor| (rework + w) / p.speed + recovery / p.read_bw;
-            let attempt = group_attempt(procs, set, injectors, |p| {
-                let c = content(p);
-                // At rate `compute_rate` until the queue drains, then full
-                // speed.
-                if c <= queue_wall * compute_rate {
-                    c / compute_rate
-                } else {
-                    queue_wall + (c - queue_wall * compute_rate)
-                }
-            });
+            let attempt = group_attempt(
+                injectors,
+                unhinted(procs, set, |p| {
+                    let c = content(p);
+                    // At rate `compute_rate` until the queue drains, then
+                    // full speed.
+                    if c <= queue_wall * compute_rate {
+                        c / compute_rate
+                    } else {
+                        queue_wall + (c - queue_wall * compute_rate)
+                    }
+                }),
+            );
             match attempt {
                 Attempt::Success { rank, elapsed } => {
                     t += elapsed;
@@ -537,15 +665,16 @@ where
             |seed| make_injector(0, seed),
         );
     }
-    let ranks = dagchkpt_core::replica_rank_count(&sets);
     let refs: Vec<&[usize]> = sets.iter().map(|s| s.as_slice()).collect();
     let plan = TrialPlan::compile(wf, schedule);
+    let first = FirstAttemptTable::compile(&plan, platform, &refs);
+    let ranks = first.ranks;
     planned_result_stats(
         spec,
         || Vec::with_capacity(ranks),
         |injectors: &mut Vec<I>, i| {
             fill_injectors(injectors, ranks, spec, i, &make_injector);
-            simulate_replicated_planned(&plan, platform, &refs, injectors)
+            simulate_replicated_planned(&plan, &first, platform, injectors)
         },
     )
 }
@@ -1147,6 +1276,7 @@ mod tests {
         let prefix: Vec<usize> = (0..2).collect();
         let sets: Vec<&[usize]> = degrees.iter().map(|&d| &prefix[..d]).collect();
         let plan = TrialPlan::compile(&wf, &s);
+        let first = FirstAttemptTable::compile(&plan, &platform, &sets);
         let spec = TrialSpec::new(200, 41);
         let build = |i: usize| -> Vec<ExponentialInjector> {
             (0..2)
@@ -1163,7 +1293,7 @@ mod tests {
                 &prefix_sets(&platform, &degrees),
                 &mut build(i),
             );
-            let fast = simulate_replicated_planned(&plan, &platform, &sets, &mut build(i));
+            let fast = simulate_replicated_planned(&plan, &first, &platform, &mut build(i));
             assert_eq!(reference.makespan.to_bits(), fast.makespan.to_bits());
             assert_eq!(reference.n_faults, fast.n_faults);
             for (a, b) in [

@@ -7,7 +7,9 @@
 //!    compiled and the per-worker scratch arena is warm, running more
 //!    trials must never touch the allocator (blocking, non-blocking,
 //!    replicated and tenant engines alike, on a chain and on a
-//!    fault-heavy grid whose recoveries are multi-step);
+//!    fault-heavy grid whose recoveries are multi-step; replicated on
+//!    `Spread{4}` through the first-attempt table too, and blocking with
+//!    a replayed fault trace);
 //! 2. **exactly one plan compile per campaign** — each public runner
 //!    flattens the `(workflow, schedule)` pair once and shares it across
 //!    every trial of every worker.
@@ -19,12 +21,14 @@
 
 use dagchkpt_core::{Schedule, Workflow};
 use dagchkpt_dag::{generators, topo, FixedBitSet};
-use dagchkpt_failure::{ExponentialInjector, HeteroPlatform, Processor};
+use dagchkpt_failure::{ExponentialInjector, HeteroPlatform, Processor, TraceInjector};
 use dagchkpt_sim::montecarlo::{run_trials_with, TrialSpec};
 use dagchkpt_sim::nonblocking::{
     run_nonblocking_trials_with, simulate_nonblocking_planned, NonBlockingConfig,
 };
-use dagchkpt_sim::replicated::{run_replicated_trials_with, simulate_replicated_planned};
+use dagchkpt_sim::replicated::{
+    run_replicated_trials_with, simulate_replicated_planned, FirstAttemptTable,
+};
 use dagchkpt_sim::tenant::{run_tenant_trials_with, TenantConfig, TenantJob, TenantPolicy};
 use dagchkpt_sim::trialplan::{plan_compile_count, simulate_planned, TrialPlan, TrialScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -174,6 +178,7 @@ fn replicated_trials_make_zero_steady_state_allocations() {
         let prefix: Vec<usize> = (0..2).collect();
         let sets: Vec<&[usize]> = (0..n).map(|i| &prefix[..1 + i % 2]).collect();
         let plan = TrialPlan::compile(&wf, &s);
+        let first = FirstAttemptTable::compile(&plan, &platform, &sets);
         let mut injectors: Vec<ExponentialInjector> = Vec::with_capacity(2);
         let spec = TrialSpec::new(320, 5);
         let run = |i: usize, injectors: &mut Vec<ExponentialInjector>| {
@@ -181,7 +186,7 @@ fn replicated_trials_make_zero_steady_state_allocations() {
             injectors.extend((0..2).map(|rank| {
                 ExponentialInjector::new(platform.procs()[rank].lambda, spec.proc_seed(i, rank))
             }));
-            simulate_replicated_planned(&plan, &platform, &sets, injectors).makespan
+            simulate_replicated_planned(&plan, &first, &platform, injectors).makespan
         };
         let mut sink = 0.0f64;
         for i in 0..64 {
@@ -195,6 +200,96 @@ fn replicated_trials_make_zero_steady_state_allocations() {
         assert_eq!(
             delta, 0,
             "{name}: replicated fast path allocated {delta} times over 256 trials"
+        );
+        assert!(sink.is_finite());
+    }
+}
+
+/// The `Spread{4, 2, 4}` platform of the `hetero_replication` campaign
+/// at base rate `lambda`: speed `2^{−x}`, rate `λ·4^x`, `x = k/3`.
+fn spread4(lambda: f64) -> HeteroPlatform {
+    HeteroPlatform::new(
+        (0..4)
+            .map(|k| {
+                let x = k as f64 / 3.0;
+                Processor {
+                    speed: f64::powf(2.0, -x),
+                    ..Processor::reference(lambda * f64::powf(4.0, x))
+                }
+            })
+            .collect(),
+        1.0,
+    )
+    .unwrap()
+}
+
+/// Degree 2 on `Spread{4}` through the first-attempt table, at rates high
+/// enough for group failures (so the post-fault path runs too): zero
+/// allocations per trial.
+#[test]
+fn spread4_degree2_trials_make_zero_steady_state_allocations() {
+    let _guard = SERIAL.lock().unwrap();
+    for (name, wf, s, lambda) in fixtures(24, 3) {
+        let platform = spread4(4.0 * lambda);
+        let pair = [0usize, 1];
+        let sets: Vec<&[usize]> = vec![&pair[..]; wf.n_tasks()];
+        let plan = TrialPlan::compile(&wf, &s);
+        let first = FirstAttemptTable::compile(&plan, &platform, &sets);
+        let mut injectors: Vec<ExponentialInjector> = Vec::with_capacity(2);
+        let spec = TrialSpec::new(320, 8);
+        let mut group_failures = 0u64;
+        let mut run = |i: usize, injectors: &mut Vec<ExponentialInjector>| {
+            injectors.clear();
+            injectors.extend((0..2).map(|rank| {
+                ExponentialInjector::new(platform.procs()[rank].lambda, spec.proc_seed(i, rank))
+            }));
+            let r = simulate_replicated_planned(&plan, &first, &platform, injectors);
+            group_failures += r.n_faults;
+            r.makespan
+        };
+        let mut sink = 0.0f64;
+        for i in 0..64 {
+            sink += run(i, &mut injectors);
+        }
+        let before = alloc_count();
+        for i in 64..320 {
+            sink += run(i, &mut injectors);
+        }
+        let delta = alloc_count() - before;
+        assert_eq!(
+            delta, 0,
+            "{name}: Spread{{4}} degree 2 allocated {delta} times over 256 trials"
+        );
+        assert!(group_failures > 0, "{name}: no group failure");
+        assert!(sink.is_finite());
+    }
+}
+
+/// A trace replayed per trial shares the cell's checked times: neither the
+/// replay nor the trial allocates.
+#[test]
+fn trace_trials_make_zero_steady_state_allocations() {
+    let _guard = SERIAL.lock().unwrap();
+    for (name, wf, s, _) in fixtures(40, 3) {
+        let plan = TrialPlan::compile(&wf, &s);
+        let horizon = 1.5 * wf.total_work();
+        let trace = TraceInjector::new(
+            (1..40)
+                .map(|k| k as f64 * horizon / 40.0)
+                .collect::<Vec<_>>(),
+        );
+        let mut sink = 0.0f64;
+        for _ in 0..64 {
+            sink += simulate_planned(&plan, &mut trace.replay(), 1.5).makespan;
+        }
+        let before = alloc_count();
+        for _ in 0..256 {
+            sink += simulate_planned(&plan, &mut trace.replay(), 1.5).makespan;
+        }
+        let delta = alloc_count() - before;
+        assert_eq!(
+            delta, 0,
+            "{name}: trace trials allocated {delta} times over 256 trials"
         );
         assert!(sink.is_finite());
     }

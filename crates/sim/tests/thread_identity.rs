@@ -21,12 +21,17 @@ use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` under each pool size plus the pre-set environment, restoring
-/// the variable afterwards, and returns one result per configuration.
+/// Runs `f` under each pool size, restoring the variable afterwards, and
+/// returns one result per configuration.
 fn under_thread_counts<T>(f: impl Fn() -> T) -> Vec<T> {
+    under_threads(&["1", "2", "4"], f)
+}
+
+/// [`under_thread_counts`] over the given pool sizes.
+fn under_threads<T>(counts: &[&str], f: impl Fn() -> T) -> Vec<T> {
     let _guard = ENV_LOCK.lock().unwrap();
     let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    let runs = ["1", "2", "4"]
+    let runs = counts
         .iter()
         .map(|n| {
             std::env::set_var("RAYON_NUM_THREADS", n);
@@ -142,6 +147,40 @@ fn replicated_fast_path_is_bit_identical_across_thread_counts() {
         };
         let runs = under_thread_counts(|| campaign(TrialSpec::new(1_024, 17)));
         let sequential = campaign(TrialSpec::sequential(1_024, 17));
+        for r in &runs {
+            assert_trial_stats_identical(r, &sequential);
+        }
+    }
+}
+
+/// Degree 2 on the `Spread{4, 2, 4}` platform of `hetero_replication`
+/// (first-attempt table and survival test), at rates with group
+/// failures: the same statistics at 1, 2 and 8 threads.
+#[test]
+fn spread4_degree2_fast_path_is_bit_identical_at_1_2_and_8_threads() {
+    for (wf, s, lambda) in fixtures() {
+        let platform = HeteroPlatform::new(
+            (0..4)
+                .map(|k| {
+                    let x = k as f64 / 3.0;
+                    Processor {
+                        speed: f64::powf(2.0, -x),
+                        ..Processor::reference(4.0 * lambda * f64::powf(4.0, x))
+                    }
+                })
+                .collect(),
+            1.0,
+        )
+        .unwrap();
+        let degrees = vec![2usize; wf.n_tasks()];
+        let campaign = |spec: TrialSpec| {
+            run_replicated_trials_with(&wf, &s, &platform, &degrees, spec, |rank, seed| {
+                ExponentialInjector::new(platform.procs()[rank].lambda, seed)
+            })
+        };
+        let runs = under_threads(&["1", "2", "8"], || campaign(TrialSpec::new(1_024, 29)));
+        let sequential = campaign(TrialSpec::sequential(1_024, 29));
+        assert!(sequential.faults.mean() > 0.0, "no group failure");
         for r in &runs {
             assert_trial_stats_identical(r, &sequential);
         }
