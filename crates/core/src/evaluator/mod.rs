@@ -47,7 +47,15 @@
 //! the rows from its first changed position on — at most
 //! `O((n − p)(n + |E|))` instead of `O(n(n + |E|))`, with no heap
 //! allocation. Along each assembly row, runs of bitwise-equal `A[i][k]`
-//! share their transcendentals. [`recovery::RecoveryMatrices::compute`]
+//! share their transcendentals. A sweep also passes each worker's running
+//! best as a bound: a candidate stops at the first row where its
+//! assembled prefix plus every remaining row's no-fault-yet cost
+//! `E[X_i | Z^i_0] = (1/λ + D)(e^{λ(w_i + δ_i c_i)} − 1)·e^{λ·A[i][i]}`
+//! exceeds it, which is a lower bound on the rest. The diagonal
+//! `A[i][i]` of each restarted column is one `O(n + |E|)` DFS computed
+//! ahead of the rows, and each position's bound is cached until its
+//! diagonal or flag changes. On the n = 200 Figure-3 cells the sweep
+//! then assembles 14–33 % of the `n × candidates` rows. [`recovery::RecoveryMatrices::compute`]
 //! plus the shared assembly stay as the reference oracle; the two paths
 //! are pinned bit-identical.
 

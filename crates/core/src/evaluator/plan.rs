@@ -44,35 +44,57 @@
 //! (each column still walks its rows in increasing order, so its marks
 //! mean what they did), then assembly row `i`. After each row the prefix
 //! `total[i]` is final, so [`EvalScratch::expected_makespan_within`] can
-//! stop a candidate that provably costs more than a `bound`. Every row
-//! obeys
+//! stop a candidate that provably costs more than a `bound`. Each term of
+//! row `i` is, with `s = 1/λ + D` and `δ = c_i f_i`,
 //!
 //! ```text
-//! E[X_i] = Σ_k P(Z^i_k) · e^{λ·rec_k} · (1/λ + D) · (e^{λ(A[i][k] + w_i + c_i f_i)} − 1)
-//!        ≥ (1/λ + D) · (e^{λ(w_i + c_i f_i)} − 1) =: floor_i
+//! E[X_i | Z^i_k] = e^{λ(A[i][i] − A[i][k])} · s · (e^{λ(A[i][k] + w_i + δ)} − 1)
+//!                = s · e^{λ·A[i][i]} · (e^{λ(w_i + δ)} − e^{−λ·A[i][k]}),
 //! ```
 //!
-//! because `rec_k ≥ 0` (so `e^{λ·rec_k} ≥ 1`), `A[i][k] ≥ 0`, and the
-//! `P(Z^i_k)` sum to 1 (property B). So the makespan is at least
-//! `total[i] + rem[i]`, with `rem[i] = Σ_{j > i} floor_j` (the floors are
-//! precomputed per position for flag off and on; `rem` is summed per
-//! candidate). The candidate stops at the first row where
-//! `(total[i] + rem[i]) · (1 − 10⁻⁹) > bound` and returns `+∞`.
+//! nondecreasing in `A[i][k] ≥ 0`, and `A[i][0] = 0` (where accumulation
+//! noise leaves `A[i][k] > A[i][i]` the assembly clamps the recovery
+//! exponent at 0, which only raises the term). Since the `P(Z^i_k)` sum
+//! to 1 (property B), every row costs at least its no-fault-yet term:
 //!
-//! Why the margin covers rounding: every factor above is computed in the
-//! same monotone floating-point operations as the exact path: `rec` is
-//! clamped at 0, so `l1 = exp(λ·rec) ≥ 1` and `l1 · scale ≥ scale`
-//! exactly, and `a + w + c ≥ w + c` for `a ≥ 0`, so each computed
-//! `E[t]` is at least the computed `floor_i` (up to `expm1`'s own
-//! ulp-level error, also covered below). What is left is the
-//! relative error of row `i`'s `i`-term sum of products and the drift of
-//! property B in the stored `P(Z^i_k)` (about `(2i + 6)·ε` together),
-//! plus `n·ε` for each of the running sums `total` and `rem`. With
-//! `ε = 2⁻⁵³ ≈ 1.1·10⁻¹⁶` the slack is below `4(n + 2)·ε`, which stays
-//! under `10⁻⁹` for any `n` below a million positions. So a stopped
-//! candidate's exact value is `> bound`: it can never be the argmin, nor
-//! tie it. A candidate that is not stopped returns its exact bits,
-//! whatever `bound` was.
+//! ```text
+//! E[X_i] ≥ E[X_i | Z^i_0] = floor_i · e^{λ·A[i][i]},   floor_i = s · (e^{λ(w_i + δ)} − 1).
+//! ```
+//!
+//! So the makespan is at least `total[i] + rem[i]`, with
+//! `rem[i] = Σ_{j > i} floor_j · e^{λ·A[j][j]}`, and the candidate stops at
+//! the first row where `(total[i] + rem[i]) · (1 − 10⁻⁹) > bound`,
+//! returning `+∞`.
+//!
+//! **Diagonal look-ahead.** `A[j][j]` is the first row of lost-set column
+//! `j`: its DFS reads the flags of positions `< j` and no other column. So
+//! a bounded call first computes it for every column `j` past the
+//! assembled prefix that holds no row yet. Those are the marks the row
+//! loop would write at row `j` (which then skips them), so the scratch
+//! stays history-independent. `floor_j` is precomputed per flag, and each
+//! position caches its bound keyed on the bits of `A[j][j]` and its flag,
+//! so a candidate pays one `exp` per position whose diagonal or flag
+//! changed. Unbounded calls do neither.
+//!
+//! Why the margin covers rounding. For `k = 0` the assembly computes
+//! `λ·A[i][i]`, its `exp` and `expm1(λ(w_i + δ))` with the very bits the
+//! bound uses (`A[i][0] = 0` adds nothing), so the two differ only in the
+//! order of their last two products: a few ulps. For `k ≥ 1` the rounding
+//! of `A[i][i] − A[i][k]` and of `A[i][k] + w_i + δ` moves each exponent by
+//! at most `2ε` of its size, which the exponentials turn into a relative
+//! error of `2λ(A[i][i] + w_i + δ)·ε`, plus the ulps of `exp`, `expm1` and
+//! the products; on rows whose exponentials are finite (each exponent
+//! below 710) that is below `3000·ε`. An overflowed `e^{λ·A[i][i]}` is capped at
+//! `f64::MAX`, which it exceeds, so a zero floor stays 0 (never
+//! `0·∞ = NaN`); a bound that still overflows means the exact row
+//! overflows too. What is left is the relative error of row `i`'s
+//! `i`-term sum of products and the drift of property B in the stored
+//! `P(Z^i_k)` (about `(2i + 6)·ε` together), plus `n·ε` for each of the
+//! running sums `total` and `rem`. With `ε = 2⁻⁵³ ≈ 1.1·10⁻¹⁶` the slack is
+//! below `(4(n + 2) + 3000)·ε`, which stays under `10⁻⁹` for any `n` below
+//! a million positions. So a stopped candidate's exact value is `> bound`:
+//! it can never be the argmin, nor tie it. A candidate that is not stopped
+//! returns its exact bits, whatever `bound` was.
 //!
 //! A stopped candidate leaves a consistent prefix: assembly rows through
 //! the stop and each column's rows through its `done`. The next candidate
@@ -85,7 +107,8 @@
 //!
 //! The plan also serves the replication-aware scratch of
 //! [`super::replicated`], which runs the same `LostSets` DFS row by row
-//! and resumes by the same rules (it takes no bound).
+//! and resumes by the same rules (it takes no bound; the diagonal
+//! look-ahead is there for one).
 //!
 //! After [`EvalScratch::new`], evaluating a candidate — stopped or not —
 //! never allocates.
@@ -303,32 +326,75 @@ impl LostSets {
             if plan.first_pred[i] as usize >= k {
                 continue;
             }
-            let seen = &mut seen[tri(k)..tri(k) + k];
-            let mut wi = 0.0f64;
-            let mut ri = 0.0f64;
-            stack.push(i as u32);
-            while let Some(t) = stack.pop() {
-                for &j in plan.preds_of(t as usize) {
-                    let j = j as usize;
-                    // At or after the fault: in memory, never counted.
-                    if j >= k || seen[j] != 0 {
-                        continue;
-                    }
-                    seen[j] = i as u32;
-                    if ckpt[j] {
-                        ri += r[j];
-                    } else {
-                        wi += plan.w[j];
-                        stack.push(j as u32);
-                    }
-                }
-            }
+            let (wi, ri) = lost_row(plan, r, ckpt, &mut seen[tri(k)..tri(k) + k], stack, i);
             store(k, wi, ri);
         }
         if i == plan.n {
             open.clear();
         }
     }
+
+    /// Computes the first row `k` of every column `k ≥ from` that holds no
+    /// row yet, handing each `(k, W^k_k, R^k_k)` to `store` like
+    /// [`LostSets::row`]. Row `k` of column `k` reads the flags of
+    /// positions `< k` only, so it can run ahead of the rows before it;
+    /// its marks are the ones [`LostSets::row`] would write, and the rows
+    /// after it follow in order as usual.
+    pub(super) fn diagonal(
+        &mut self,
+        plan: &EvalPlan,
+        r: &[f64],
+        ckpt: &[bool],
+        from: usize,
+        mut store: impl FnMut(usize, f64, f64),
+    ) {
+        for k in from..=plan.n {
+            if self.done[k] as usize >= k {
+                continue;
+            }
+            self.done[k] = k as u32;
+            if plan.first_pred[k] as usize >= k {
+                continue;
+            }
+            let seen = &mut self.seen[tri(k)..tri(k) + k];
+            let (wi, ri) = lost_row(plan, r, ckpt, seen, &mut self.stack, k);
+            store(k, wi, ri);
+        }
+    }
+}
+
+/// The DFS of row `i` in the column whose first-visit marks are `seen`
+/// (one per position before the column's fault): `(W^i_k, R^i_k)`.
+#[inline]
+fn lost_row(
+    plan: &EvalPlan,
+    r: &[f64],
+    ckpt: &[bool],
+    seen: &mut [u32],
+    stack: &mut Vec<u32>,
+    i: usize,
+) -> (f64, f64) {
+    let k = seen.len();
+    let mut wi = 0.0f64;
+    let mut ri = 0.0f64;
+    stack.push(i as u32);
+    while let Some(t) = stack.pop() {
+        for &j in plan.preds_of(t as usize) {
+            let j = j as usize;
+            // At or after the fault: in memory, never counted.
+            if j >= k || seen[j] != 0 {
+                continue;
+            }
+            seen[j] = i as u32;
+            if ckpt[j] {
+                ri += r[j];
+            } else {
+                wi += plan.w[j];
+                stack.push(j as u32);
+            }
+        }
+    }
+    (wi, ri)
 }
 
 /// Relative margin of the early stop (see the module docs for why it
@@ -359,10 +425,15 @@ pub struct EvalScratch<'p> {
     /// accumulation order: entry `i` is the running value after row `i`.
     total: Vec<f64>,
     faults: Vec<f64>,
-    /// `floor[f][i]`: the lower bound on `E[X_i]` with position `i`'s flag
-    /// `f` (module docs).
+    /// `floor[f][i] = (1/λ + D)·expm1(λ(w_i + f·c_i))` for position `i`'s
+    /// flag `f`: the fault-free factor of the bound (module docs).
     floor: [Vec<f64>; 2],
-    /// `rem[i]`: the sum of the current candidate's floors after row `i`.
+    /// `bound_of[i] = floor·e^{λ·A[i][i]}`, the lower bound on `E[X_i]`,
+    /// for the `A[i][i]` and flag packed in `bound_key[i]` (the flag in the
+    /// sign bit, which `A[i][i] ≥ 0` leaves clear).
+    bound_of: Vec<f64>,
+    bound_key: Vec<u64>,
+    /// `rem[i]`: the sum of the current candidate's bounds after row `i`.
     rem: Vec<f64>,
     lost: LostSets,
 }
@@ -402,6 +473,9 @@ impl<'p> EvalScratch<'p> {
             total: vec![0.0f64; n + 1],
             faults: vec![0.0f64; n + 1],
             floor,
+            bound_of: vec![0.0f64; n + 1],
+            // No `A[i][i]` has every bit set (it would be a NaN).
+            bound_key: vec![u64::MAX; n + 1],
             rem: vec![0.0f64; n + 1],
             lost: LostSets::new(n),
         }
@@ -446,10 +520,7 @@ impl<'p> EvalScratch<'p> {
         // `NaN` compares false: no bound.
         let bounded = bound < f64::INFINITY;
         if bounded {
-            self.rem[n] = 0.0;
-            for i in (from..=n).rev() {
-                self.rem[i - 1] = self.rem[i] + self.floor[usize::from(self.ckpt[i])][i];
-            }
+            self.bound_rows(from);
         }
         for i in from..=n {
             if bounded && (self.total[i - 1] + self.rem[i - 1]) * (1.0 - STOP_MARGIN) > bound {
@@ -465,6 +536,35 @@ impl<'p> EvalScratch<'p> {
         }
         self.assembled = n;
         self.total[n]
+    }
+
+    /// Prices every row `i ≥ from` at `E[X_i | Z^i_0]` and sums them into
+    /// `rem`. The diagonal look-ahead first fills `A[i][i]` for every
+    /// column that lacks it; a row whose `A[i][i]` and flag are unchanged
+    /// since it was last priced reuses its bound.
+    fn bound_rows(&mut self, from: usize) {
+        let n = self.plan.n;
+        let a = &mut self.a;
+        self.lost
+            .diagonal(self.plan, &self.plan.r, &self.ckpt, from, |k, wi, ri| {
+                a[tri(k) + k] = wi + ri
+            });
+        let lambda = self.model.lambda();
+        self.rem[n] = 0.0;
+        for i in (from..=n).rev() {
+            let on = self.ckpt[i];
+            let diag = self.a[tri(i) + i];
+            let key = diag.to_bits() | u64::from(on) << 63;
+            if self.bound_key[i] != key {
+                self.bound_key[i] = key;
+                // An overflowed `e^{λ·A}` still exceeds `f64::MAX`: capping
+                // it keeps a small floor finite and a zero one 0 (never
+                // `0·∞ = NaN`).
+                let recovery = (lambda * diag).exp().min(f64::MAX);
+                self.bound_of[i] = self.floor[usize::from(on)][i] * recovery;
+            }
+            self.rem[i - 1] = self.rem[i] + self.bound_of[i];
+        }
     }
 
     /// The full report of the last evaluated candidate (per-position
@@ -559,7 +659,7 @@ mod tests {
     use super::*;
     use crate::evaluator::test_support::{assert_bitwise, random_instance, sequences};
     use crate::evaluator::{assemble, recovery::RecoveryMatrices};
-    use crate::model::CostRule;
+    use crate::model::{CostRule, TaskCosts};
     use dagchkpt_dag::{generators, topo};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
@@ -568,6 +668,24 @@ mod tests {
     /// The reference oracle: dense matrices, then the shared assembly.
     fn oracle(wf: &Workflow, model: FaultModel, s: &Schedule) -> EvalReport {
         assemble(wf, model, s, &RecoveryMatrices::compute(wf, s))
+    }
+
+    /// `wf` with about a quarter of its tasks doing no work, half of
+    /// those with a free checkpoint too.
+    fn with_idle_tasks(wf: &Workflow, seed: u64) -> Workflow {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x1d1e);
+        let costs = (0..wf.n_tasks())
+            .map(|t| {
+                let t = NodeId::from(t);
+                let (w, c, r) = (wf.work(t), wf.checkpoint_cost(t), wf.recovery_cost(t));
+                match rng.gen_range(0..8) {
+                    0 => TaskCosts::new(0.0, 0.0, r),
+                    1 => TaskCosts::new(0.0, c, r),
+                    _ => TaskCosts::new(w, c, r),
+                }
+            })
+            .collect();
+        Workflow::new(wf.dag().clone(), costs)
     }
 
     fn check_sequences(wf: &Workflow, order: &[NodeId], model: FaultModel, seed: u64) {
@@ -666,6 +784,78 @@ mod tests {
         assert_eq!(scratch.expected_makespan_within(&[], -1.0).to_bits(), 0);
     }
 
+    /// No checkpoint on a chain: every lost set but the diagonal is empty,
+    /// so `E[X_i] = E[X_i | Z^i_0]` and the bound is tight. Under a bound
+    /// just below the exact value the candidate stops at once, rows before
+    /// the bare fault-free floors `Σ floor_j` would have proved it lost.
+    #[test]
+    fn the_no_fault_yet_bound_stops_before_the_fault_free_floor() {
+        let n = 24;
+        let wf = Workflow::with_cost_rule(
+            generators::chain(n),
+            vec![10.0; n],
+            CostRule::ProportionalToWork { ratio: 0.1 },
+        );
+        let order = topo::topological_order(wf.dag());
+        let model = FaultModel::new(0.02, 1.0);
+        let plan = EvalPlan::new(&wf, &order);
+        let flags = vec![false; n];
+        let want = oracle(&wf, model, &plan.schedule(&flags));
+        let exact = want.expected_makespan;
+        let bound = exact * (1.0 - 1e-6);
+
+        let mut scratch = EvalScratch::new(&plan, model);
+        assert_eq!(
+            scratch.expected_makespan_within(&flags, bound),
+            f64::INFINITY
+        );
+        let stop_row = scratch.assembled + 1;
+        assert!(model.lambda() * scratch.a[tri(n) + n] >= 1.0);
+
+        // Where the fault-free floors alone would have stopped.
+        let scale = 1.0 / model.lambda() + model.downtime();
+        let floor: Vec<f64> = (1..=n)
+            .map(|i| scale * (model.lambda() * plan.w[i]).exp_m1())
+            .collect();
+        let mut total = 0.0;
+        let plain_stop = (1..=n)
+            .find(|&i| {
+                let rem: f64 = floor[i - 1..].iter().rev().sum();
+                let stops = (total + rem) * (1.0 - STOP_MARGIN) > bound;
+                total += want.per_position[i - 1];
+                stops
+            })
+            .unwrap_or(n + 1);
+        assert!(
+            stop_row < plain_stop,
+            "stopped at row {stop_row}, the plain floors at {plain_stop}"
+        );
+        // The stopped candidate leaves the scratch consistent.
+        assert_eq!(scratch.expected_makespan(&flags).to_bits(), exact.to_bits());
+        assert_bitwise(&scratch.report(), &want, "after the stop");
+    }
+
+    /// Where `e^{λ·A[i][i]}` overflows, a task with no work and no
+    /// checkpoint keeps a zero bound (`0·∞` would make it `NaN` and the
+    /// candidate unstoppable) and a task with a tiny floor a finite one.
+    #[test]
+    fn a_zero_floor_stays_zero_when_the_recovery_factor_overflows() {
+        let costs = [800.0, 0.0, 1e-200, 5.0].map(|w| TaskCosts::new(w, 0.0, 0.0));
+        let wf = Workflow::new(generators::chain(4), costs.to_vec());
+        let order = topo::topological_order(wf.dag());
+        let plan = EvalPlan::new(&wf, &order);
+        let mut scratch = EvalScratch::new(&plan, FaultModel::new(1.0, 0.0));
+        assert_eq!(
+            scratch.expected_makespan_within(&[false; 4], 1e300),
+            f64::INFINITY
+        );
+        assert_eq!(scratch.bound_of[2].to_bits(), 0.0f64.to_bits());
+        // A tiny floor times the capped factor: finite, and still a bound.
+        assert!(scratch.bound_of[3].is_finite() && scratch.bound_of[3] > 1e100);
+        assert_eq!(scratch.bound_of[4], f64::INFINITY);
+        assert_eq!(scratch.assembled, 0, "stops before the first row");
+    }
+
     #[test]
     fn empty_and_single_task_workflows() {
         for n in [0usize, 1] {
@@ -701,16 +891,25 @@ mod tests {
             check_sequences(&wf, &order, model, seed);
         }
 
+        /// λ is drawn so that the largest `λ·A[i][i]` with no checkpoint
+        /// spans `[0, 8)`, and about a quarter of the tasks do no work
+        /// (half of those write a free checkpoint, so both their floors
+        /// are 0).
         #[test]
         fn bounded_scratch_equals_the_oracle_bitwise(
-            seed in 0u64..10_000, n in 1usize..40, lambda in 0.0f64..0.02,
+            seed in 0u64..10_000, n in 1usize..40, lambda_a in 0.0f64..8.0,
             downtime in 0.0f64..3.0, fault_free in 0u8..4,
         ) {
             let (wf, order) = random_instance(seed, n);
+            let wf = with_idle_tasks(&wf, seed);
             let model = if fault_free == 0 {
                 FaultModel::fault_free()
             } else {
-                FaultModel::new(lambda, downtime)
+                let plan = EvalPlan::new(&wf, &order);
+                let mut scratch = EvalScratch::new(&plan, FaultModel::new(1.0, 0.0));
+                scratch.expected_makespan(&vec![false; n]);
+                let max_a = (1..=n).map(|i| scratch.a[tri(i) + i]).fold(0.0, f64::max);
+                FaultModel::new(lambda_a / max_a.max(1.0), downtime)
             };
             check_bounded(&wf, &order, model, seed);
         }

@@ -288,6 +288,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        #[test]
         fn random_bytes_roundtrip(
             src in collection::vec(0u8..=255, 0..3000),
             dict in collection::vec(0u8..=255, 0..300),
@@ -296,10 +297,12 @@ mod tests {
             roundtrip_with(&dict, &src);
         }
 
+        #[test]
         fn small_alphabet_bytes_roundtrip(src in collection::vec(0u8..4, 0..3000)) {
             roundtrip(&src);
         }
 
+        #[test]
         fn json_like_text_roundtrips(
             tokens in collection::vec(0usize..JSON_TOKENS.len(), 0..600),
             digits in collection::vec(0u32..1_000_000, 0..600),

@@ -184,6 +184,7 @@ proptest! {
     /// including 0 (storage disabled) and 1 (every second request
     /// evicts) — an access pattern that thrashes the cache still returns
     /// the cold-cache bytes for every request.
+    #[test]
     fn eviction_under_tiny_bounds_never_changes_results(
         seed in 0u64..1 << 32,
         capacity in 0usize..3,

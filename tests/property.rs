@@ -46,6 +46,7 @@ proptest! {
 
     /// (a) The `O(n(n+|E|))` evaluator agrees with the paper-literal
     /// `O(n⁴)` Algorithm 1 on random heterogeneous schedules.
+    #[test]
     fn fast_evaluator_agrees_with_literal_algorithm1(
         seed in 0u64..500, n in 1usize..16, lambda in 1e-4f64..2e-2,
     ) {
@@ -62,6 +63,7 @@ proptest! {
     }
 
     /// (c) Transitive reduction preserves reachability and never adds edges.
+    #[test]
     fn transitive_reduction_preserves_reachability(
         seed in 0u64..500, n in 1usize..40,
     ) {
@@ -81,6 +83,7 @@ proptest! {
 
     /// (b1) The chain DP optimum is never beaten by any of the 14
     /// heuristics on the same instance.
+    #[test]
     fn chain_dp_never_beaten_by_heuristics(
         seed in 0u64..200, n in 2usize..8, lambda in 1e-3f64..1e-2,
     ) {
@@ -104,6 +107,7 @@ proptest! {
 
     /// (b2) The fork closed form (Theorem 1) is never beaten by any
     /// heuristic.
+    #[test]
     fn fork_optimum_never_beaten_by_heuristics(
         seed in 0u64..200, k in 1usize..6, lambda in 1e-3f64..1e-2,
     ) {
@@ -129,6 +133,7 @@ proptest! {
 
     /// (b3) The join subset-enumeration optimum is never beaten by any
     /// heuristic.
+    #[test]
     fn join_optimum_never_beaten_by_heuristics(
         seed in 0u64..200, k in 2usize..6, lambda in 1e-3f64..1e-2,
     ) {

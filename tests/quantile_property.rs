@@ -127,6 +127,7 @@ fn check_stream(values: &[f64], rank_tol: Option<f64>, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    #[test]
     fn sketch_tracks_exact_quantiles_across_sizes_and_shapes(
         seed in 0u64..1 << 48,
         dist in 0u8..3,
@@ -150,6 +151,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn chunked_merge_converges_at_executor_chunk_sizes(
         seed in 0u64..1 << 48,
         dist in 0u8..3,

@@ -213,6 +213,7 @@ fn spec_raw(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    #[test]
     fn json_round_trip_preserves_spec_expansion_and_hash(
         seed in 0u64..1 << 48,
         src_kind in 0u8..12,
@@ -237,6 +238,7 @@ proptest! {
         prop_assert_eq!(&pretty, &spec);
     }
 
+    #[test]
     fn cell_seeds_are_stable_under_sharding_and_reordering(
         seed in 0u64..1 << 48,
         src_kind in 0u8..12,
@@ -277,6 +279,7 @@ proptest! {
         prop_assert_eq!(merged, all);
     }
 
+    #[test]
     fn spec_hash_distinguishes_semantic_edits(
         seed in 0u64..1 << 48,
         sizes in collection::vec(30usize..80, 1..4),
