@@ -112,6 +112,27 @@ mod tests {
     }
 
     #[test]
+    fn appending_to_a_missing_file_writes_the_header_and_newlines_are_quoted() {
+        let dir = std::env::temp_dir().join("dagchkpt_csv_append_fresh_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("nested").join("c.csv");
+        let mut w = CsvWriter::open(&path, &["k", "v"], true).unwrap();
+        w.write_row(["a".to_string(), "two\nlines".to_string()])
+            .unwrap();
+        w.flush().unwrap();
+        drop(w);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "k,v\na,\"two\nlines\"\n"
+        );
+        // Reopening without `append` truncates and starts a new table.
+        let w = CsvWriter::open(&path, &["k", "v"], false).unwrap();
+        drop(w);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "k,v\n");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn streaming_writer_matches_batch_and_appends() {
         let dir = std::env::temp_dir().join("dagchkpt_csv_stream_test");
         let a = dir.join("a.csv");

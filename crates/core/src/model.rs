@@ -387,6 +387,29 @@ mod tests {
     }
 
     #[test]
+    fn scaled_costs_leave_work_alone_and_unit_scales_are_bitwise() {
+        let wf = Workflow::with_cost_rule(
+            generators::chain(3),
+            vec![10.0, 0.3, 7.0],
+            CostRule::ProportionalToWork { ratio: 0.1 },
+        );
+        assert_eq!(wf.with_scaled_costs(&[1.0; 3], &[1.0; 3]), wf);
+        let scaled = wf.with_scaled_costs(&[2.0, 0.0, 1.0], &[0.5, 1.0, 3.0]);
+        let (c, r) = (wf.checkpoint_costs(), wf.recovery_costs());
+        assert_eq!(scaled.works(), wf.works());
+        assert_eq!(scaled.dag(), wf.dag());
+        assert_eq!(scaled.checkpoint_costs(), &[2.0 * c[0], 0.0, c[2]][..]);
+        assert_eq!(scaled.recovery_costs(), &[0.5 * r[0], r[1], 3.0 * r[2]][..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite and non-negative")]
+    fn negative_cost_scale_panics() {
+        let wf = Workflow::uniform(generators::chain(2), 1.0, 1.0);
+        let _ = wf.with_scaled_costs(&[1.0, -1.0], &[1.0, 1.0]);
+    }
+
+    #[test]
     #[should_panic(expected = "one cost triple per task")]
     fn cost_len_mismatch_rejected() {
         Workflow::new(generators::chain(3), vec![TaskCosts::new(1.0, 0.0, 0.0)]);

@@ -159,6 +159,36 @@ mod tests {
     }
 
     #[test]
+    fn schedule_roundtrips_through_serde() {
+        use serde::{Deserialize, Serialize};
+        let wf = wf();
+        let order: Vec<NodeId> = [0u32, 3, 1, 2, 4, 5, 6, 7]
+            .iter()
+            .map(|&i| NodeId(i))
+            .collect();
+        let s = Schedule::new(&wf, order, FixedBitSet::from_indices(8, [3usize, 6])).unwrap();
+        let back = Schedule::from_value(&s.to_value()).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(back.checkpoints().iter().collect::<Vec<_>>(), vec![3, 6]);
+    }
+
+    #[test]
+    fn orders_that_are_not_permutations_are_rejected() {
+        let wf = wf();
+        let mut order = topo::topological_order(wf.dag());
+        order[7] = order[6];
+        assert_eq!(
+            Schedule::never(&wf, order.clone()).unwrap_err(),
+            DagError::NotAPermutation
+        );
+        order.pop();
+        assert_eq!(
+            Schedule::always(&wf, order).unwrap_err(),
+            DagError::NotAPermutation
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "capacity")]
     fn wrong_capacity_rejected() {
         let wf = wf();

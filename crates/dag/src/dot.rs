@@ -71,6 +71,18 @@ mod tests {
     }
 
     #[test]
+    fn default_options_draw_one_line_per_node_and_edge() {
+        let d = generators::fork_join(3);
+        let dot = to_dot(&d, |v| v.to_string(), &DotOptions::default());
+        assert!(dot.starts_with("digraph workflow {\n"), "{dot}");
+        assert!(dot.ends_with("}\n"), "{dot}");
+        assert!(!dot.contains("rankdir"), "{dot}");
+        assert!(!dot.contains("style=filled"), "{dot}");
+        assert_eq!(dot.matches(" [label=").count(), d.n_nodes());
+        assert_eq!(dot.matches(" -> ").count(), d.n_edges());
+    }
+
+    #[test]
     fn dot_escapes_quotes_and_sets_rankdir() {
         let d = generators::chain(2);
         let opts = DotOptions {

@@ -289,6 +289,20 @@ mod tests {
     }
 
     #[test]
+    fn reversing_twice_restores_the_graph() {
+        let d = crate::generators::paper_figure1();
+        let r = d.reversed();
+        assert_eq!(r.n_edges(), d.n_edges());
+        assert_eq!(r.sources(), d.sinks());
+        assert_eq!(r.sinks(), d.sources());
+        for v in d.nodes() {
+            assert_eq!(r.in_degree(v), d.out_degree(v));
+            assert_eq!(r.out_degree(v), d.in_degree(v));
+        }
+        assert_eq!(r.reversed(), d);
+    }
+
+    #[test]
     fn rejects_out_of_range() {
         let mut b = DagBuilder::new(2);
         b.add_edge(0usize, 5usize);

@@ -78,6 +78,53 @@ mod tests {
         assert!(matches!(spec.build(), Err(DagError::Cycle(_))));
     }
 
+    #[test]
+    fn builder_errors_surface_through_the_spec() {
+        let out_of_range = DagSpec {
+            n: 2,
+            edges: vec![(0, 2)],
+        };
+        assert_eq!(
+            out_of_range.build().unwrap_err(),
+            DagError::NodeOutOfRange {
+                node: crate::graph::NodeId(2),
+                n: 2
+            }
+        );
+        let self_loop = DagSpec {
+            n: 3,
+            edges: vec![(1, 1)],
+        };
+        assert!(matches!(self_loop.build(), Err(DagError::SelfLoop(_))));
+        let duplicate = DagSpec {
+            n: 3,
+            edges: vec![(0, 1), (0, 1)],
+        };
+        assert!(matches!(
+            duplicate.build(),
+            Err(DagError::DuplicateEdge(_, _))
+        ));
+    }
+
+    #[test]
+    fn malformed_json_is_a_parse_error() {
+        assert!(DagSpec::from_json("not json").is_err());
+        assert!(DagSpec::from_json("{\"n\": 2}").is_err());
+        assert!(DagSpec::from_json("{\"n\": 2, \"edges\": [[0]]}").is_err());
+    }
+
+    #[test]
+    fn empty_spec_builds_the_empty_dag() {
+        let spec = DagSpec {
+            n: 0,
+            edges: Vec::new(),
+        };
+        let d = spec.build().unwrap();
+        assert_eq!(d.n_nodes(), 0);
+        assert_eq!(d.n_edges(), 0);
+        assert_eq!(DagSpec::from(&d), spec);
+    }
+
     proptest! {
         #[test]
         fn roundtrip_random(seed in 0u64..200, n in 0usize..50) {

@@ -73,6 +73,20 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
+    fn same_reachability_detects_a_dropped_edge_and_a_size_mismatch() {
+        let d = generators::chain(4);
+        assert!(same_reachability(&d, &d));
+        // Dropping the middle edge of the chain splits reachability.
+        let mut b = DagBuilder::new(4);
+        b.add_edge(0usize, 1usize);
+        b.add_edge(2usize, 3usize);
+        let split = b.build().unwrap();
+        assert!(!same_reachability(&d, &split));
+        assert!(!same_reachability(&d, &generators::chain(5)));
+        assert_eq!(ancestor_sets(&d), all_ancestors(&d));
+    }
+
+    #[test]
     fn removes_shortcut_edge() {
         // 0 -> 1 -> 2 plus the redundant shortcut 0 -> 2.
         let mut b = DagBuilder::new(3);

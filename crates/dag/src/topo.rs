@@ -200,6 +200,15 @@ mod tests {
         assert_eq!(visited, 1);
     }
 
+    #[test]
+    fn fork_and_join_have_factorial_extensions() {
+        // The k leaves of a fork (sources of a join) are free to permute.
+        for (k, fact) in [(1, 1u64), (3, 6), (5, 120)] {
+            assert_eq!(count_linear_extensions(&generators::fork(k)), fact);
+            assert_eq!(count_linear_extensions(&generators::join(k)), fact);
+        }
+    }
+
     proptest! {
         #[test]
         fn kahn_output_is_always_valid(seed in 0u64..500, n in 1usize..40) {
@@ -207,6 +216,18 @@ mod tests {
             let d = generators::layered_random(&mut rng, n, 4, 0.3);
             let o = topological_order(&d);
             prop_assert!(is_topological_order(&d, &o));
+        }
+
+        #[test]
+        fn reversed_order_is_a_linearization_of_the_reversed_dag(
+            seed in 0u64..200,
+            n in 1usize..40,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let d = generators::layered_random(&mut rng, n, 4, 0.3);
+            let mut o = topological_order(&d);
+            o.reverse();
+            prop_assert!(is_topological_order(&d.reversed(), &o));
         }
 
         #[test]

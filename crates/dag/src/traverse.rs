@@ -226,6 +226,51 @@ mod tests {
         }
 
         #[test]
+        fn critical_path_is_a_heaviest_source_to_sink_path(
+            seed in 0u64..200,
+            n in 1usize..30,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let d = generators::layered_random(&mut rng, n, 4, 0.35);
+            let w: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 + 0.5).collect();
+            let (len, path) = critical_path(&d, &w);
+            prop_assert!(d.in_degree(path[0]) == 0);
+            prop_assert!(d.out_degree(*path.last().unwrap()) == 0);
+            for pair in path.windows(2) {
+                prop_assert!(d.has_edge(pair[0], pair[1]));
+            }
+            let along: f64 = path.iter().map(|v| w[v.index()]).sum();
+            prop_assert!((along - len).abs() < 1e-9);
+            // Independent check: the heaviest path ending at each node.
+            let mut best = vec![0.0f64; n];
+            for &v in &crate::topo::topological_order(&d) {
+                let from = d
+                    .preds(v)
+                    .iter()
+                    .map(|p| best[p.index()])
+                    .fold(0.0, f64::max);
+                best[v.index()] = from + w[v.index()];
+            }
+            let heaviest = best.iter().copied().fold(0.0, f64::max);
+            prop_assert!((heaviest - len).abs() < 1e-9);
+        }
+
+        #[test]
+        fn descendant_weights_sum_each_descendant_once(
+            seed in 0u64..200,
+            n in 1usize..30,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let d = generators::layered_random(&mut rng, n, 4, 0.35);
+            let w: Vec<f64> = (0..n).map(|i| (i % 5) as f64 + 1.0).collect();
+            let dw = descendant_weights(&d, &w);
+            for v in d.nodes() {
+                let direct: f64 = descendants(&d, v).iter().map(|u| w[u]).sum();
+                prop_assert_eq!(dw[v.index()], direct);
+            }
+        }
+
+        #[test]
         fn levels_respect_edges(seed in 0u64..200, n in 2usize..40) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let d = generators::layered_random(&mut rng, n, 5, 0.3);

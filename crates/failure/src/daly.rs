@@ -71,6 +71,22 @@ mod tests {
     }
 
     #[test]
+    fn daly_is_zero_at_zero_cost_and_mtbf_from_twice_the_mtbf() {
+        assert_eq!(daly_period(0.0, 1e4), 0.0);
+        assert_eq!(young_period(0.0, 1e4), 0.0);
+        assert_eq!(daly_period(200.0, 100.0), 100.0);
+        assert!(daly_period(199.0, 100.0) < 100.0);
+    }
+
+    #[test]
+    fn young_checkpoint_count_drops_the_partial_last_period() {
+        // τ = 1000: 1999.9 s of work holds one full period, 2000 s two.
+        assert_eq!(young_checkpoint_count(1999.9, 50.0, 10_000.0), 1);
+        assert_eq!(young_checkpoint_count(2000.0, 50.0, 10_000.0), 2);
+        assert_eq!(young_checkpoint_count(999.0, 50.0, 10_000.0), 0);
+    }
+
+    #[test]
     fn periods_grow_with_cost_and_mtbf() {
         assert!(young_period(100.0, 1e4) > young_period(10.0, 1e4));
         assert!(young_period(10.0, 1e5) > young_period(10.0, 1e4));

@@ -173,6 +173,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "finite")]
+    fn nan_lambda_rejected() {
+        FaultModel::new(f64::NAN, 0.0);
+    }
+
+    #[test]
+    fn faults_per_block_is_the_geometric_retry_count() {
+        let m = FaultModel::new(2e-3, 5.0);
+        for w in [0.0, 1.0, 250.0, 4000.0] {
+            // Each attempt survives with p = e^{-λw}; a geometric number of
+            // attempts fails (1 − p)/p times on average.
+            let p = m.success_prob(w);
+            assert!(close(m.expected_faults_per_block(w), (1.0 - p) / p, TOL));
+        }
+        let free = FaultModel::fault_free();
+        assert_eq!(free.expected_faults_per_block(1e6), 0.0);
+        assert_eq!(free.success_prob(1e6), 1.0);
+        assert_eq!(free.mtbf(), f64::INFINITY);
+        assert_eq!(free.expected_exec_time(3.0, 2.0, 100.0), 5.0);
+    }
+
+    #[test]
     fn equation_one_hand_computed() {
         // λ = 0.01, D = 1, w = 50, c = 5, r = 3:
         // e^{0.03} · (100 + 1) · (e^{0.55} − 1)

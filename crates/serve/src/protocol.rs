@@ -285,6 +285,148 @@ mod tests {
         assert!(matches!(read_frame(&mut r), FrameRead::Truncated));
     }
 
+    /// A reader that plays back a fixed script of read outcomes.
+    struct Scripted(std::collections::VecDeque<io::Result<Vec<u8>>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(e)) => Err(e),
+                Some(Ok(bytes)) => {
+                    assert!(bytes.len() <= buf.len(), "script chunk too large");
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+            }
+        }
+    }
+
+    fn scripted(steps: Vec<io::Result<Vec<u8>>>) -> Scripted {
+        Scripted(steps.into())
+    }
+
+    fn timeout() -> io::Result<Vec<u8>> {
+        Err(io::Error::new(io::ErrorKind::WouldBlock, "timed out"))
+    }
+
+    #[test]
+    fn a_timeout_is_idle_between_frames_and_truncation_inside_one() {
+        let mut r = scripted(vec![timeout()]);
+        assert!(matches!(read_frame(&mut r), FrameRead::Idle));
+        // Inside the length prefix.
+        let mut r = scripted(vec![Ok(vec![0, 0]), timeout()]);
+        assert!(matches!(read_frame(&mut r), FrameRead::Truncated));
+        // Between the prefix and the payload.
+        let mut r = scripted(vec![Ok(vec![0, 0, 0, 3]), timeout()]);
+        assert!(matches!(read_frame(&mut r), FrameRead::Truncated));
+        let mut r = scripted(vec![Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "timed out",
+        ))]);
+        assert!(matches!(read_frame(&mut r), FrameRead::Idle));
+        let mut r = scripted(vec![Err(io::Error::new(
+            io::ErrorKind::ConnectionReset,
+            "reset",
+        ))]);
+        match read_frame(&mut r) {
+            FrameRead::Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn interrupted_and_split_reads_reassemble_the_frame() {
+        let mut r = scripted(vec![
+            Err(io::Error::new(io::ErrorKind::Interrupted, "signal")),
+            Ok(vec![0, 0]),
+            Ok(vec![0, 4]),
+            Ok(b"a".to_vec()),
+            Err(io::Error::new(io::ErrorKind::Interrupted, "signal")),
+            Ok(b"bcd".to_vec()),
+        ]);
+        match read_frame(&mut r) {
+            FrameRead::Payload(p) => assert_eq!(p, b"abcd"),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(read_frame(&mut r), FrameRead::Eof));
+    }
+
+    #[test]
+    fn empty_frames_and_the_size_limit_are_inclusive() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"").unwrap();
+        assert_eq!(buf, [0, 0, 0, 0]);
+        match read_frame(&mut &buf[..]) {
+            FrameRead::Payload(p) => assert!(p.is_empty()),
+            other => panic!("{other:?}"),
+        }
+        // A prefix of exactly MAX_FRAME is accepted (here it then runs dry);
+        // one byte more is refused before any payload is read.
+        let at = (MAX_FRAME as u32).to_be_bytes();
+        assert!(matches!(read_frame(&mut &at[..]), FrameRead::Truncated));
+        let over = (MAX_FRAME as u32 + 1).to_be_bytes();
+        match read_frame(&mut &over[..]) {
+            FrameRead::Oversized(n) => assert_eq!(n, MAX_FRAME + 1),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn writing_through_a_scratch_buffer_puts_the_same_bytes_on_the_wire() {
+        let responses = [
+            Response::Pong,
+            Response::Bye,
+            Response::Stats {
+                served: 9,
+                hits: 4,
+                misses: 5,
+                entries: 3,
+                capacity: 64,
+            },
+            Response::error("cell_error", "quote \" and newline \n"),
+            Response::Cell {
+                header: vec!["a".into(), "b".into()],
+                rows: vec![vec!["1".into(), "x,y".into()]],
+                schedules: Vec::new(),
+                cached: true,
+                tails: vec![TailSummary {
+                    row: 0,
+                    p50: 1.5,
+                    p95: 2.25,
+                    p99: 3.0,
+                }],
+                tenants: Vec::new(),
+            },
+        ];
+        let mut scratch = String::from("stale contents");
+        for resp in &responses {
+            let (mut fresh, mut reused) = (Vec::new(), Vec::new());
+            write_response(&mut fresh, resp).unwrap();
+            write_response_into(&mut reused, resp, &mut scratch).unwrap();
+            assert_eq!(fresh, reused, "{resp:?}");
+        }
+    }
+
+    #[test]
+    fn cell_answers_from_older_servers_read_with_empty_tails_and_tenants() {
+        let resp = Response::Cell {
+            header: vec!["h".into()],
+            rows: vec![vec!["1".into()]],
+            schedules: Vec::new(),
+            cached: false,
+            tails: Vec::new(),
+            tenants: Vec::new(),
+        };
+        let json = serde_json::to_string(&resp).unwrap();
+        let old = json
+            .replace(",\"tails\":[]", "")
+            .replace(",\"tenants\":[]", "");
+        assert!(!old.contains("tails") && !old.contains("tenants"), "{old}");
+        let back: Response = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, resp);
+    }
+
     #[test]
     fn request_and_response_roundtrip_through_json() {
         for req in [Request::Ping, Request::Stats, Request::Shutdown] {

@@ -144,3 +144,69 @@ fn garbage_response_is_a_typed_protocol_error() {
     drop(client);
     server.join().expect("server thread");
 }
+
+/// A reply that is framed but not UTF-8, and a reply whose length prefix
+/// exceeds the frame limit, are both [`ClientError::Protocol`]; the first
+/// leaves the connection in sync, so the second call still reads a frame.
+#[test]
+fn non_utf8_and_oversized_responses_are_typed_protocol_errors() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let _ = read_frame(&mut reader);
+        let payload = [0xff, 0xfe, 0xfd];
+        stream
+            .write_all(&(payload.len() as u32).to_be_bytes())
+            .expect("prefix");
+        stream.write_all(&payload).expect("payload");
+        stream.flush().expect("flush");
+        let _ = read_frame(&mut reader);
+        stream
+            .write_all(&0x7fff_ffffu32.to_be_bytes())
+            .expect("oversized prefix");
+        stream.flush().expect("flush");
+        // Hold the socket until the client hangs up.
+        let _ = read_frame(&mut reader);
+    });
+    let mut client =
+        Client::connect_with_timeout(&addr, Some(Duration::from_secs(30))).expect("connect");
+    match client.call(&Request::Ping).expect_err("non-UTF-8 reply") {
+        ClientError::Protocol(msg) => assert!(msg.contains("UTF-8"), "{msg}"),
+        other => panic!("want Protocol, got {other:?}"),
+    }
+    match client.call(&Request::Stats).expect_err("oversized reply") {
+        ClientError::Protocol(msg) => assert!(msg.contains("oversized"), "{msg}"),
+        other => panic!("want Protocol, got {other:?}"),
+    }
+    drop(client);
+    server.join().expect("server thread");
+}
+
+/// Every variant renders a message that names its failure, through both
+/// `Display` and the legacy string conversion.
+#[test]
+fn client_errors_render_actionable_messages() {
+    let cases = [
+        (ClientError::Timeout, "--read-timeout"),
+        (ClientError::Disconnected, "closed the connection"),
+        (
+            ClientError::Io(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "pipe gone",
+            )),
+            "i/o: pipe gone",
+        ),
+        (
+            ClientError::Protocol("bad frame".into()),
+            "protocol: bad frame",
+        ),
+    ];
+    for (err, want) in cases {
+        let shown = err.to_string();
+        assert!(shown.contains(want), "{shown}");
+        let legacy: String = err.into();
+        assert_eq!(legacy, shown);
+    }
+}

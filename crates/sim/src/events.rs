@@ -51,6 +51,40 @@ mod tests {
     use super::*;
 
     #[test]
+    fn every_event_and_unit_kind_roundtrips_through_json() {
+        let mut events = vec![
+            Event::Fault {
+                at: 12.5,
+                downtime: 0.0,
+            },
+            Event::TaskDone {
+                task: NodeId(7),
+                at: 40.0,
+            },
+        ];
+        for (i, kind) in [
+            UnitKind::Work,
+            UnitKind::Rework,
+            UnitKind::Recovery,
+            UnitKind::Checkpoint,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            events.push(Event::UnitCompleted {
+                task: NodeId(i as u32),
+                kind,
+                at: 0.25 * i as f64,
+            });
+        }
+        for e in events {
+            let json = serde_json::to_string(&e).unwrap();
+            let back: Event = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, e, "{json}");
+        }
+    }
+
+    #[test]
     fn events_serialize() {
         let e = Event::Fault {
             at: 1.5,

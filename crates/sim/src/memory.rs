@@ -55,6 +55,19 @@ mod tests {
     use super::*;
 
     #[test]
+    fn storing_twice_counts_once_and_the_bitset_mirrors_memory() {
+        let mut m = MemoryState::new(70);
+        m.store(NodeId(65));
+        m.store(NodeId(65));
+        m.store(NodeId(2));
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.as_bitset().iter().collect::<Vec<_>>(), vec![2, 65]);
+        assert_eq!(m.as_bitset().len(), 70);
+        m.wipe();
+        assert_eq!(m, MemoryState::new(70));
+    }
+
+    #[test]
     fn store_wipe_cycle() {
         let mut m = MemoryState::new(4);
         assert!(m.is_empty());

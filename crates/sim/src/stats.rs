@@ -242,6 +242,39 @@ mod tests {
         assert!(json.contains("\"min\":42.5"), "{json}");
     }
 
+    #[test]
+    fn merging_an_empty_accumulator_is_the_identity() {
+        let mut s = Stats::new();
+        for x in [1.5, -2.0, 8.25] {
+            s.push(x);
+        }
+        assert_eq!(s.merge(Stats::new()), s);
+        assert_eq!(Stats::new().merge(s), s);
+        assert_eq!(Stats::new().merge(Stats::new()), Stats::new());
+    }
+
+    #[test]
+    fn constant_stream_has_zero_spread() {
+        let mut s = Stats::new();
+        s.push_slice(&[3.25; 17]);
+        assert_eq!(s.mean(), 3.25);
+        assert_eq!(s.variance(), 0.0);
+        assert_eq!(s.ci95(), 0.0);
+        assert_eq!((s.min(), s.max()), (3.25, 3.25));
+    }
+
+    #[test]
+    fn ci95_is_196_standard_errors() {
+        let mut s = Stats::new();
+        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
+            s.push(x);
+        }
+        let sd = (32.0f64 / 7.0).sqrt();
+        assert!((s.stddev() - sd).abs() < 1e-12);
+        assert!((s.sem() - sd / 8f64.sqrt()).abs() < 1e-12);
+        assert!((s.ci95() - 1.96 * sd / 8f64.sqrt()).abs() < 1e-12);
+    }
+
     proptest! {
         /// The fast path's batched consumer must not move a single bit
         /// relative to the scalar `push` loop it replaces.

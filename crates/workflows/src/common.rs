@@ -104,6 +104,36 @@ mod tests {
     }
 
     #[test]
+    fn sampler_floors_the_left_tail() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        // A CV of 3 gives a gamma shape of 1/9: most raw draws sit near 0.
+        let s = WeightSampler::new(50.0, 3.0);
+        let draws: Vec<f64> = (0..5_000).map(|_| s.sample(&mut rng)).collect();
+        assert!(draws.iter().all(|&w| w >= 0.5), "a draw fell below 1 %");
+        assert!(draws.contains(&0.5), "the floor never bound");
+    }
+
+    #[test]
+    fn rescale_leaves_empty_and_zero_weights_alone() {
+        let mut empty: Vec<f64> = Vec::new();
+        rescale_to_mean(&mut empty, 3.0);
+        assert!(empty.is_empty());
+        let mut zeros = vec![0.0; 4];
+        rescale_to_mean(&mut zeros, 3.0);
+        assert_eq!(zeros, vec![0.0; 4]);
+    }
+
+    #[test]
+    fn pick_stays_in_range_and_covers_it() {
+        let mut rng = SmallRng::seed_from_u64(2);
+        let mut seen = [false; 5];
+        for _ in 0..500 {
+            seen[pick(&mut rng, 5)] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
     fn rescale_hits_target() {
         let mut w = vec![1.0, 2.0, 3.0, 10.0];
         rescale_to_mean(&mut w, 25.0);

@@ -135,6 +135,43 @@ mod tests {
     }
 
     #[test]
+    fn generation_is_a_function_of_the_seed() {
+        for kind in PegasusKind::ALL {
+            let a = kind.generate(80, RULE, 5);
+            assert_eq!(a, kind.generate(80, RULE, 5), "{kind}");
+            assert_ne!(a.works(), kind.generate(80, RULE, 6).works(), "{kind}");
+        }
+    }
+
+    #[test]
+    fn every_kind_builds_at_its_minimum_size() {
+        for kind in PegasusKind::ALL {
+            let n = kind.min_tasks();
+            let (wf, labels) = kind.generate_labeled(n, RULE, 3);
+            assert_eq!(wf.n_tasks(), n, "{kind}");
+            assert_eq!(labels.len(), n, "{kind}");
+        }
+    }
+
+    #[test]
+    fn generate_with_mean_sets_the_mean_weight() {
+        for kind in PegasusKind::ALL {
+            let wf = kind.generate_with_mean(60, 3.5, RULE, 9);
+            let mean = wf.total_work() / 60.0;
+            assert!((mean - 3.5).abs() < 1e-9, "{kind}: mean {mean}");
+        }
+    }
+
+    #[test]
+    fn kind_roundtrips_through_json() {
+        for kind in PegasusKind::ALL {
+            let json = serde_json::to_string(&kind).unwrap();
+            let back: PegasusKind = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, kind);
+        }
+    }
+
+    #[test]
     fn defaults_match_paper() {
         assert_eq!(PegasusKind::Montage.default_lambda(), 1e-3);
         assert_eq!(PegasusKind::Genome.default_lambda(), 1e-4);

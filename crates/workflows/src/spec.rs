@@ -134,6 +134,20 @@ mod tests {
     }
 
     #[test]
+    fn a_cyclic_topology_is_a_dag_error() {
+        let wf = PegasusKind::Ligo.generate(40, CostRule::Constant { value: 1.0 }, 2);
+        let mut spec = WorkflowSpec::from_workflow(&wf, None);
+        let (u, v) = spec.dag.edges[0];
+        spec.dag.edges.push((v, u));
+        let e = spec.build().unwrap_err();
+        assert!(
+            matches!(e, SpecError::Dag(dagchkpt_dag::DagError::Cycle(_))),
+            "{e:?}"
+        );
+        assert!(e.to_string().contains("cycle"), "{e}");
+    }
+
+    #[test]
     fn labels_are_optional() {
         let wf = PegasusKind::Montage.generate(50, CostRule::Constant { value: 1.0 }, 1);
         let spec = WorkflowSpec::from_workflow(&wf, None);
